@@ -1,11 +1,11 @@
 """Command-line surface tying the front, surface, classifier, and numeric
 layers together.
 
-Exit codes: 0 success, 1 domain error (invalid input, failed verification),
-2 usage error.  All JSON output carries ``"schema": 1`` and sorted keys;
-surface-build scripts are line-oriented verb lists that map one-to-one onto
-the cobordism operations, so derivation witnesses double as runnable
-scripts.
+Exit codes: 0 success, 1 domain error (invalid input, a file that cannot be
+read or written, failed verification), 2 usage error.  All JSON output
+carries ``"schema": 1`` and sorted keys; surface-build scripts are
+line-oriented verb lists that map one-to-one onto the cobordism operations,
+so derivation witnesses double as runnable scripts.
 """
 
 from __future__ import annotations
@@ -60,7 +60,9 @@ from .surfaces import (
 )
 from .table import ClosureMismatch, Rule, derive_table, verify_closure
 
-_DOMAIN_ERRORS = (FrontError, SurfaceError, ClosureMismatch, ValueError, DegenerateProjection)
+_DOMAIN_ERRORS = (
+    FrontError, SurfaceError, ClosureMismatch, ValueError, DegenerateProjection, OSError,
+)
 
 
 def _read_text(path: str) -> str:

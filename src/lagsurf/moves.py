@@ -44,6 +44,20 @@ matching the traversal sense of a cusp outside the rewritten window: every
 component keeps at least one such cusp (no window holds more than one cusp
 pair, and that pair always hangs off a strand born elsewhere), and a local
 rewrite cannot change how an untouched cusp is traversed.
+
+Internal coding
+---------------
+
+Slide-only computations (slide closures, canonical keys, slide paths, the
+keys of the equivalence search) run on words coded as tuples of ints, one
+``rank(kind) << 32 | (pos + 2**31)`` per event, with ranks ``L < R < X``
+as the kinds' string values compare.  For positions of magnitude below
+``2**31`` the code is strictly monotone in ``(kind, pos)``, so coded words
+sort, take minima and fill heaps exactly as :class:`FrontEvent` words do:
+every cap, key and witness is the same, only hashing and comparing are
+cheaper.  Slides on codes come from a memo of :func:`commute_pair`, the one
+definition of a slide.  Words are decoded only where the pattern moves act
+on them and for the public return values.
 """
 
 from __future__ import annotations
@@ -52,6 +66,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from lagsurf.fronts import (
@@ -106,6 +121,14 @@ class MoveInstance:
 
 class MoveNotApplicable(FrontError):
     """The move's pattern does not match the word at its site."""
+
+
+class SenseTransferConflict(FrontError):
+    """Two surviving cusps of one component disagree on its orientation."""
+
+
+class WitnessReplayError(FrontError):
+    """A search witness does not replay onto the goal word."""
 
 
 _R2_EXPANSIONS = {
@@ -284,7 +307,8 @@ def apply_move(diagram: FrontDiagram, move: MoveInstance) -> FrontDiagram:
         target = cusp.event if cusp.event < start else cusp.event + new_len - old_len
         mirror = new_cusps[target]
         sign = cusp.sense * mirror.sense
-        assert signs[mirror.component] in (0, sign), "sense transfer disagrees"
+        if signs[mirror.component] not in (0, sign):
+            raise SenseTransferConflict("sense transfer disagrees")
         signs[mirror.component] = sign
     if 0 in signs:
         raise MoveNotApplicable("a component has no cusp outside the window")
@@ -378,18 +402,48 @@ def applicable_moves(diagram: FrontDiagram) -> list[MoveInstance]:
 _SLIDE_CAP = 2048
 _NODE_CAP = 8192
 
+# Event codes (see "Internal coding" above): rank << 32 | (pos + _POS_BIAS).
+Coded = tuple[int, ...]
+_RANK = {L: 0, R: 1, X: 2}
+_KINDS = (L, R, X)
+_POS_BIAS = 1 << 31
+_POS_MASK = (1 << 32) - 1
+# Bounds the memos below: distinct codes grow with the largest strand position
+# seen, and code pairs with its square.
+_MEMO_SIZE = 1 << 16
 
-def _slide_neighbors(events: Word) -> Iterator[tuple[int, Word]]:
-    for i in range(len(events) - 1):
-        swapped = commute_pair(events[i], events[i + 1])
+
+def _encode(events: Iterable[FrontEvent]) -> Coded:
+    return tuple(_RANK[ev.kind] << 32 | (ev.pos + _POS_BIAS) for ev in events)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _decode_event(code: int) -> FrontEvent:
+    return FrontEvent(_KINDS[code >> 32], (code & _POS_MASK) - _POS_BIAS)
+
+
+def _decode(codes: Coded) -> Word:
+    return tuple(map(_decode_event, codes))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _commute_codes(a: int, b: int) -> Optional[Coded]:
+    """:func:`commute_pair` on two event codes, memoized."""
+    swapped = commute_pair(_decode_event(a), _decode_event(b))
+    return None if swapped is None else _encode(swapped)
+
+
+def _slide_neighbors(codes: Coded) -> Iterator[tuple[int, Coded]]:
+    for i in range(len(codes) - 1):
+        swapped = _commute_codes(codes[i], codes[i + 1])
         if swapped is not None:
-            yield i, events[:i] + swapped + events[i + 2 :]
+            yield i, codes[:i] + swapped + codes[i + 2 :]
 
 
-def _slide_closure(events: Word, cap: int = _SLIDE_CAP) -> set[Word]:
-    """All words reachable by slides alone (deterministic, capped)."""
-    seen = {events}
-    heap = [events]
+def _slide_closure(codes: Coded, cap: int = _SLIDE_CAP) -> set[Coded]:
+    """All coded words reachable by slides alone (deterministic, capped)."""
+    seen = {codes}
+    heap = [codes]
     while heap and len(seen) < cap:
         current = heapq.heappop(heap)
         for _, nxt in _slide_neighbors(current):
@@ -401,14 +455,14 @@ def _slide_closure(events: Word, cap: int = _SLIDE_CAP) -> set[Word]:
 
 def canonical_word(events: Word, cap: int = _SLIDE_CAP) -> Word:
     """Lex-least word in the slide class (the BFS memoization key)."""
-    return min(_slide_closure(events, cap))
+    return _decode(min(_slide_closure(_encode(events), cap)))
 
 
-def _slide_path(start: Word, goal: Word, cap: int = _SLIDE_CAP) -> list[MoveInstance]:
+def _slide_path(start: Coded, goal: Coded, cap: int = _SLIDE_CAP) -> list[MoveInstance]:
     """Slide sequence from ``start`` to ``goal`` (same slide class)."""
     if start == goal:
         return []
-    parent: dict[Word, tuple[Word, int]] = {start: (start, -1)}
+    parent: dict[Coded, tuple[Coded, int]] = {start: (start, -1)}
     queue = deque([start])
     while queue and len(parent) < cap:
         current = queue.popleft()
@@ -453,9 +507,9 @@ def _invariant_key(diagram: FrontDiagram):
 
 @dataclass
 class _Node:
-    word: Word  # concrete representative reached
-    parent: Optional[Word]  # canonical key of the parent class
-    via_concrete: Optional[Word]  # word in parent class the move applied to
+    word: Coded  # concrete representative reached
+    parent: Optional[Coded]  # canonical key of the parent class
+    via_concrete: Optional[Coded]  # word in parent class the move applied to
     move: Optional[MoveInstance]
     depth: int
 
@@ -475,26 +529,28 @@ def equivalent_within(
     only to line words up).  Returns the move list, replay-verified, or
     ``None`` when no witness was found -- never a claim of inequivalence,
     though invariant mismatches short-circuit to ``None`` immediately.
+    Raises :class:`WitnessReplayError` if a found witness fails its replay.
     """
     if _invariant_key(f) != _invariant_key(g):
         return None
 
-    start, goal = f.events, g.events
+    start, goal = _encode(f.events), _encode(g.events)
 
     def finish(witness: list[MoveInstance]) -> list[MoveInstance]:
-        assert replay_moves(start, witness) == goal, "witness replay failed"
+        if replay_moves(f.events, witness) != g.events:
+            raise WitnessReplayError("witness replay failed")
         return witness
 
-    start_key = canonical_word(start, slide_cap)
-    goal_key = canonical_word(goal, slide_cap)
-    sides: list[dict[Word, _Node]] = [
+    start_key = min(_slide_closure(start, slide_cap))
+    goal_key = min(_slide_closure(goal, slide_cap))
+    sides: list[dict[Coded, _Node]] = [
         {start_key: _Node(start, None, None, None, 0)},
         {goal_key: _Node(goal, None, None, None, 0)},
     ]
-    frontiers: list[list[Word]] = [[start_key], [goal_key]]
+    frontiers: list[list[Coded]] = [[start_key], [goal_key]]
     depths = [0, 0]
 
-    def build_witness(meet: Word) -> list[MoveInstance]:
+    def build_witness(meet: Coded) -> list[MoveInstance]:
         # f side: replay the chain root -> meet, sliding into position first
         chain: list[_Node] = []
         key = meet
@@ -522,24 +578,27 @@ def equivalent_within(
 
     if start_key == goal_key:
         try:
-            return finish(_slide_path(start, goal, slide_cap))
+            witness = _slide_path(start, goal, slide_cap)
         except FrontError:
             return None  # slide class too large for the cap; keys unreliable
+        return finish(witness)
 
     explored = 2
     while frontiers[0] and frontiers[1] and depths[0] + depths[1] < depth:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         depths[side] += 1
-        new_frontier: list[Word] = []
+        new_frontier: list[Coded] = []
         for key in frontiers[side]:
             node = sides[side][key]
             for concrete in sorted(_slide_closure(node.word, slide_cap)):
-                for move in _pattern_moves(concrete):
+                concrete_word = _decode(concrete)
+                for move in _pattern_moves(concrete_word):
                     try:
-                        nxt = apply_move_word(concrete, move)
+                        nxt_word = apply_move_word(concrete_word, move)
                     except MoveNotApplicable:
                         continue
-                    nxt_key = canonical_word(nxt, slide_cap)
+                    nxt = _encode(nxt_word)
+                    nxt_key = min(_slide_closure(nxt, slide_cap))
                     if nxt_key in sides[side]:
                         continue
                     sides[side][nxt_key] = _Node(nxt, key, concrete, move, depths[side])
@@ -547,9 +606,10 @@ def equivalent_within(
                     explored += 1
                     if nxt_key in sides[1 - side]:
                         try:
-                            return finish(build_witness(nxt_key))
+                            witness = build_witness(nxt_key)
                         except FrontError:
                             return None  # truncated closure split a class
+                        return finish(witness)
                     if explored >= node_cap:
                         return None
         frontiers[side] = sorted(new_frontier)

@@ -21,7 +21,15 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from .fronts import FrontDiagram, FrontError
-from .moves import MoveInstance, MoveNotApplicable, _slide_neighbors, replay_moves
+from .moves import (
+    MoveInstance,
+    MoveNotApplicable,
+    _decode,
+    _decode_event,
+    _encode,
+    _slide_neighbors,
+    replay_moves,
+)
 
 
 class SurfaceError(Exception):
@@ -231,13 +239,13 @@ def _align_facing_cusps(
     then directly followed by the birth at the same height.  Raises
     :class:`CuspsNotInwardFacing` when no slide sequence aligns them.
     """
-    start = (events, right_index, left_index)
+    start = (_encode(events), right_index, left_index)
     seen = {start}
     queue = deque([start])
     while queue:
         word, r, l = queue.popleft()
-        if l == r + 1 and word[r].pos == word[l].pos:
-            return word, r
+        if l == r + 1 and _decode_event(word[r]).pos == _decode_event(word[l]).pos:
+            return _decode(word), r
         if len(seen) >= cap:
             break
         for i, nxt in _slide_neighbors(word):

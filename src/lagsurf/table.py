@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .classify import rationally_convex_set
 from .surfaces import (
@@ -67,12 +68,26 @@ class DerivationGraph:
     edges: tuple[Edge, ...]
     witnesses: dict[DiskBundle, tuple[Rule, ...]]
 
+    @cached_property
+    def _rows(self) -> dict[int, tuple[int, ...]]:
+        rows: dict[int, list[int]] = {}
+        for n in self.nodes:
+            rows.setdefault(n.chi, []).append(n.euler)
+        return {chi: tuple(sorted(eulers)) for chi, eulers in rows.items()}
+
+    @cached_property
+    def _outgoing(self) -> dict[DiskBundle, tuple[Edge, ...]]:
+        out: dict[DiskBundle, list[Edge]] = {}
+        for e in self.edges:
+            out.setdefault(e.source, []).append(e)
+        return {source: tuple(edges) for source, edges in out.items()}
+
     def row(self, chi: int) -> tuple[int, ...]:
         """Euler numbers present at one chi level, ascending."""
-        return tuple(sorted(n.euler for n in self.nodes if n.chi == chi))
+        return self._rows.get(chi, ())
 
     def outgoing(self, node: DiskBundle) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.source == node)
+        return self._outgoing.get(node, ())
 
 
 def _path_key(path: tuple[Rule, ...]) -> tuple[int, ...]:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import hypothesis.strategies as st
 
 from lagsurf.fronts import EventKind, FrontDiagram, FrontEvent
+from lagsurf.moves import commute_pair
 
 
 def random_word(
@@ -91,3 +93,27 @@ def front_diagrams(draw, **kwargs):
 
 def knot_diagrams(**kwargs):
     return front_diagrams(**kwargs).filter(lambda d: d.component_count == 1)
+
+
+def reference_slide_closure(
+    events: tuple[FrontEvent, ...], cap: int = 2048
+) -> set[tuple[FrontEvent, ...]]:
+    """Slide relatives of a word by a plain heap BFS over ``commute_pair``.
+
+    Works on ``FrontEvent`` words throughout and pops the least word first,
+    stopping once ``cap`` words are seen, so a capped class keeps exactly the
+    words the library's closure keeps.
+    """
+    seen = {events}
+    heap = [events]
+    while heap and len(seen) < cap:
+        current = heapq.heappop(heap)
+        for i in range(len(current) - 1):
+            swapped = commute_pair(current[i], current[i + 1])
+            if swapped is None:
+                continue
+            nxt = current[:i] + swapped + current[i + 2 :]
+            if nxt not in seen:
+                seen.add(nxt)
+                heapq.heappush(heap, nxt)
+    return seen

@@ -49,6 +49,24 @@ def test_front_check_rejects_open_words(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_missing_input_file_is_an_error_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "front", "stats", "nope.front")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nope.front" in err
+
+
+def test_unwritable_output_is_an_error_line(capsys, tmp_path):
+    target = tmp_path / "nonexistent" / "x.svg"
+    code, out, err = run(capsys, "front", "render", corpus_file("unknot"), "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_front_render_is_stable(capsys, tmp_path):
     out_a = tmp_path / "a.svg"
     out_b = tmp_path / "b.svg"

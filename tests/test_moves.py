@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 
 import helpers
-from lagsurf.fronts import FrontDiagram
+import lagsurf.moves
+from lagsurf.fronts import FrontDiagram, word
 from lagsurf.moves import (
     BACKWARD,
     FORWARD,
@@ -12,6 +13,9 @@ from lagsurf.moves import (
     MoveId,
     MoveInstance,
     MoveNotApplicable,
+    WitnessReplayError,
+    _decode,
+    _encode,
     _slide_closure,
     applicable_moves,
     apply_move,
@@ -115,7 +119,7 @@ def test_commute_involution(events):
 @given(helpers.front_words(max_events=10))
 def test_canonical_word_is_slide_invariant(events):
     # the canonical key is only well-defined when the class fits under the cap
-    assume(len(_slide_closure(events)) < _SLIDE_CAP)
+    assume(len(_slide_closure(_encode(events))) < _SLIDE_CAP)
     key = canonical_word(events)
     for i in range(len(events) - 1):
         swapped = commute_pair(events[i], events[i + 1])
@@ -160,3 +164,75 @@ def test_equivalence_depth_exhaustion():
         ZIGZAG, MoveInstance(MoveId.R2_LEFT_CUSP_STRAND_BELOW, (1, 1), FORWARD)
     )
     assert equivalent_within(ZIGZAG, z2, depth=0) is None
+
+
+# -- integer-coded slide machinery ------------------------------------------
+
+# More than _SLIDE_CAP slide relatives; its key differs from that of its
+# slide at index 6, and the coded closure must keep that exact behaviour.
+CAPPED = word("L1 R1 L1 R1 L1 R1 L1 L1 X2 L4 R4 R2 R1")
+CAPPED_SLID = CAPPED[:6] + commute_pair(CAPPED[6], CAPPED[7]) + CAPPED[8:]
+
+
+def seeded_words(seed: int = 5) -> list[tuple]:
+    """One random closed word of each length from 4 to 13 events."""
+    rng = random.Random(seed)
+    by_length: dict[int, tuple] = {}
+    while len(by_length) < 10:
+        events = helpers.random_word(rng, max_events=13, max_strands=8)
+        if 4 <= len(events) <= 13:
+            by_length.setdefault(len(events), events)
+    return [by_length[n] for n in sorted(by_length)]
+
+
+@given(helpers.front_words(max_events=10), helpers.front_words(max_events=10))
+def test_event_codes_keep_order(a, b):
+    assert _decode(_encode(a)) == a
+    assert (_encode(a) < _encode(b)) == (a < b)
+    assert (_encode(a) == _encode(b)) == (a == b)
+
+
+@pytest.mark.parametrize("events", seeded_words() + [CAPPED, CAPPED_SLID])
+def test_slide_closure_matches_reference(events):
+    reference = helpers.reference_slide_closure(events, _SLIDE_CAP)
+    closure = {_decode(c) for c in _slide_closure(_encode(events))}
+    assert closure == reference
+    assert canonical_word(events) == min(reference)
+
+
+# Depth-2 ladder witnesses, pinned move for move: coding the words must not
+# change which witness the search finds.
+PINNED_WITNESSES = [
+    ("L1 L1 R2 R1", "L1 L2 X1 X2 R2 R1", ["r2_left_cusp_strand_below@1:1:forward"]),
+    ("L1 L1 R2 R1", "L1 L1 L2 X1 R2 R2 R1", ["r1_kink_below@2:1:forward"]),
+    (
+        "L1 L2 X1 X2 R2 R1",
+        "L1 L1 L2 X1 R2 R2 R1",
+        [
+            "r1_kink_below@3:1:forward",
+            "slide@5:0:forward",
+            "slide@4:0:forward",
+            "slide@3:0:forward",
+            "slide@6:0:forward",
+            "slide@5:0:forward",
+            "r2_left_cusp_strand_below@1:1:backward",
+            "slide@3:0:forward",
+            "slide@4:0:forward",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("first, second, expected", PINNED_WITNESSES)
+def test_ladder_witnesses_are_pinned(first, second, expected):
+    f, g = FrontDiagram.from_word(first), FrontDiagram.from_word(second)
+    witness = equivalent_within(f, g, depth=2)
+    assert [str(m) for m in witness] == expected
+
+
+def test_witness_replay_failure_raises(monkeypatch):
+    a = FrontDiagram.from_word("L1 L3 R3 R1")
+    b = FrontDiagram(apply_move_word(a.events, MoveInstance(MoveId.SLIDE, (0, 0), FORWARD)))
+    monkeypatch.setattr(lagsurf.moves, "_slide_path", lambda *args: [])
+    with pytest.raises(WitnessReplayError):
+        equivalent_within(a, b, depth=1)

@@ -199,6 +199,15 @@ def test_one_handle_alignment_failure():
         one_handle(s, 3, 1)
 
 
+def test_one_handle_slides_cusps_face_to_face():
+    # the merge (event 5) reaches the birth (event 2) only after several slides
+    s = SurfaceComplex(1, True, FrontDiagram.from_word("L1 X1 L3 X3 R3 R1"))
+    joined = one_handle(s, 5, 2)
+    assert joined.boundary.events == FrontDiagram.from_word("L1 X1 X1 R1").events
+    assert (joined.chi, joined.orientable) == (0, True)
+    assert joined.boundary.component_count == 1
+
+
 # -- isotopy_cylinder -------------------------------------------------------
 
 

@@ -72,3 +72,11 @@ def test_orientable_catalog():
     assert all(s.orientable for s in catalog)
     with pytest.raises(ValueError):
         orientable_catalog(-3)
+
+
+def test_indexed_rows_and_edges_match_a_scan():
+    graph = derive_table(-8)
+    for chi in range(1, -10, -1):
+        assert graph.row(chi) == tuple(sorted(n.euler for n in graph.nodes if n.chi == chi))
+    for node in graph.nodes | {DiskBundle(-9, -20)}:
+        assert graph.outgoing(node) == tuple(e for e in graph.edges if e.source == node)
