@@ -10,6 +10,7 @@ from lagsurf.fronts import (
     MultiComponentInput,
     NegativeStrandCount,
     NonClosedFront,
+    OddCrossingSum,
     PositionOutOfRange,
     RightCuspOnDisjointArcs,
     front_connected_sum,
@@ -28,6 +29,7 @@ __all__ = [
     "MultiComponentInput",
     "NegativeStrandCount",
     "NonClosedFront",
+    "OddCrossingSum",
     "PositionOutOfRange",
     "RightCuspOnDisjointArcs",
     "front_connected_sum",

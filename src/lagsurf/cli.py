@@ -14,12 +14,10 @@ import argparse
 import csv
 import json
 import math
-import random
 import sys
 from dataclasses import asdict
+from functools import cache
 from typing import Sequence
-
-import numpy as np
 
 from .classify import (
     InvalidSurface,
@@ -29,19 +27,6 @@ from .classify import (
 )
 from .dsl import FrontDocument, document_from_diagram, parse_front, serialize_front
 from .fronts import FrontDiagram, FrontError, word
-from .immersions import (
-    boundary_curve,
-    cone_family,
-    convergence_to_cone,
-    legendrian_residual,
-    liouville_identity,
-    pullback_residual,
-    strip_family,
-    strip_half_width,
-    strip_identities,
-    umbrella_family,
-)
-from .linking import DegenerateProjection, contact_framing, tangent_winding
 from .moves import MoveDirection, MoveId, MoveInstance, apply_move, applicable_moves, equivalent_within
 from .render import render_svg
 from .surfaces import (
@@ -60,9 +45,9 @@ from .surfaces import (
 )
 from .table import ClosureMismatch, Rule, derive_table, verify_closure
 
-_DOMAIN_ERRORS = (
-    FrontError, SurfaceError, ClosureMismatch, ValueError, DegenerateProjection, OSError,
-)
+# ``verify`` adds linking.DegenerateProjection; importing it here would load
+# numpy for every verb.
+_DOMAIN_ERRORS = (FrontError, SurfaceError, ClosureMismatch, ValueError, OSError)
 
 
 def _read_text(path: str) -> str:
@@ -331,6 +316,8 @@ def _report_dict(check: str, report) -> dict:
 
 
 def _write_grid_csv(path: str, family, first, second) -> None:
+    import numpy as np
+
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["a", "b", "q1", "p1", "q2", "p2"])
@@ -349,6 +336,22 @@ def _write_curve_csv(path: str, s, points) -> None:
 
 
 def _verify(args) -> int:
+    import numpy as np
+
+    from .immersions import (
+        boundary_curve,
+        cone_family,
+        convergence_to_cone,
+        legendrian_residual,
+        liouville_identity,
+        pullback_residual,
+        strip_family,
+        strip_half_width,
+        strip_identities,
+        umbrella_family,
+    )
+    from .linking import DegenerateProjection, contact_framing, tangent_winding
+
     reports: list[dict] = []
     extra: dict = {}
     if args.family == "strip":
@@ -390,19 +393,14 @@ def _verify(args) -> int:
         )
         s = np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
         curve = boundary_curve(s)
-        extra["framing"] = contact_framing(curve)
+        try:
+            extra["framing"] = contact_framing(curve)
+        except DegenerateProjection as err:
+            return _domain_error(err)
         extra["winding"] = tangent_winding(curve)
     else:  # convergence
-        report = convergence_to_cone([0.2, 0.1, 0.05])
-        ok = all(0.2 <= r <= 0.3 for r in report.ratios)
         reports.append(
-            {
-                "check": "convergence",
-                "a_values": list(report.a_values),
-                "distances": list(report.distances),
-                "ratios": list(report.ratios),
-                "passed": ok,
-            }
+            _report_dict("convergence", convergence_to_cone([0.2, 0.1, 0.05]))
         )
 
     if args.csv:
@@ -426,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lagsurf",
         description="Front words, singular-surface assembly, and numeric checks.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed randomized subroutines")
     sub = parser.add_subparsers(dest="command", required=True)
 
     front = sub.add_parser("front", help="front-word documents")
@@ -493,15 +489,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
+def _domain_error(err: Exception) -> int:
+    print(f"error: {err}", file=sys.stderr)
+    return 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except _DOMAIN_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _domain_error(err)
 
 
 if __name__ == "__main__":

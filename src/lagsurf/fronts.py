@@ -126,6 +126,10 @@ class MultiComponentInput(FrontError):
     """A single-component front was required."""
 
 
+class OddCrossingSum(FrontError):
+    """Two components cross an odd number of times, so the word is inconsistent."""
+
+
 @dataclass(frozen=True)
 class CuspInfo:
     """One cusp of a diagram, with its oriented traversal sense.
@@ -386,7 +390,7 @@ class FrontDiagram:
             if {s.component_of[c.over], s.component_of[c.under]} == pair
         )
         if total % 2:
-            raise AssertionError("odd inter-component crossing sum")
+            raise OddCrossingSum(f"components {i} and {j}: odd crossing sum {total}")
         return total // 2
 
     def linking_matrix(self) -> tuple[tuple[int, ...], ...]:

@@ -33,6 +33,10 @@ from typing import Callable
 import numpy as np
 
 
+# Grid points per block of a residual sweep.
+_TILE_ELEMENTS = 1 << 14
+
+
 class AOutOfRange(ValueError):
     """Strip parameter outside (0, sqrt 2)."""
 
@@ -160,10 +164,15 @@ def pullback_residual(
         raise GridOutsideDomain(
             f"{family.name} family needs the grid clear of its apex at T = 0"
         )
-    a, b = np.meshgrid(first, second, indexing="ij")
-    d1 = (family.evaluator(a + step, b) - family.evaluator(a - step, b)) / (2 * step)
-    d2 = (family.evaluator(a, b + step) - family.evaluator(a, b - step)) / (2 * step)
-    residual = np.max(np.abs(symplectic_pairing(d1, d2)))
+    # the grid is swept in blocks of rows; the max of block maxima is the max
+    tile = max(1, _TILE_ELEMENTS // max(len(second), 1))
+    maxima = []
+    for start in range(0, len(first), tile):
+        a, b = np.meshgrid(first[start : start + tile], second, indexing="ij")
+        d1 = (family.evaluator(a + step, b) - family.evaluator(a - step, b)) / (2 * step)
+        d2 = (family.evaluator(a, b + step) - family.evaluator(a, b - step)) / (2 * step)
+        maxima.append(np.max(np.abs(symplectic_pairing(d1, d2))))
+    residual = np.max(maxima)
     grid = f"{family.name} {len(first)}x{len(second)} step {step:g}"
     return VerificationReport.from_residual(residual, grid, tolerance)
 
@@ -206,13 +215,21 @@ def strip_identities(
     )
 
 
+# Consecutive distance ratios pass within 20% of the quartering 1/4.
+_CONVERGENCE_BAND = (0.2, 0.3)
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Sup-distances of rescaled strips from the cone, with step ratios."""
+    """Sup-distances of rescaled strips from the cone, with step ratios.
+
+    ``passed`` iff every ratio lies in the band [0.2, 0.3] around 1/4.
+    """
 
     a_values: tuple[float, ...]
     distances: tuple[float, ...]
     ratios: tuple[float, ...]
+    passed: bool
 
 
 def convergence_to_cone(
@@ -221,12 +238,10 @@ def convergence_to_cone(
     """d(A) = sup |strip_A(s, T/A) - cone(s, T)| over an annulus in T.
 
     On |T| >= t_low > 0 the gap is (1/sqrt 2)(sqrt(A^2 + T^2) - |T|), of
-    order A^2, so halving A quarters the distance; the computed consecutive
-    ratios are asserted to lie within 20% of 1/4.
+    order A^2, so halving A quarters the distance; the report passes iff the
+    consecutive ratios of a descending ``a_values`` lie within 20% of 1/4.
     """
     a_values = tuple(float(a) for a in a_values)
-    if any(y >= x for x, y in zip(a_values, a_values[1:])) and len(a_values) > 1:
-        pass  # descending is the intended use; ratios below assume it
     if t_low <= 0:
         raise ValueError("the annulus must avoid T = 0")
     s = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
@@ -240,9 +255,9 @@ def convergence_to_cone(
         rescaled = strip_family(a).evaluator(sg, tg / a)
         distances.append(float(np.max(np.linalg.norm(rescaled - reference, axis=-1))))
     ratios = tuple(d2 / d1 for d1, d2 in zip(distances, distances[1:]))
-    for ratio in ratios:
-        assert 0.25 * 0.8 <= ratio <= 0.25 * 1.2, f"convergence ratio {ratio}"
-    return ConvergenceReport(a_values, tuple(distances), ratios)
+    low, high = _CONVERGENCE_BAND
+    passed = all(low <= ratio <= high for ratio in ratios)
+    return ConvergenceReport(a_values, tuple(distances), ratios, passed)
 
 
 def liouville_identity(

@@ -40,24 +40,113 @@ class TangentDegenerate(ValueError):
 
 _VIEW_SEEDS = (0.0, 0.37, 0.71, 1.13, 1.62, 2.31)
 
+# Elements per block of an all-pairs scan, and candidate pairs per chunk.
+_TILE_ELEMENTS = 1 << 16
+_CHUNK = 1 << 16
+
 
 def _require_embedded(curve: np.ndarray) -> None:
-    """Reject sample sets whose non-neighbours collide at sample resolution."""
+    """Reject sample sets whose non-neighbours collide at sample resolution.
+
+    Only pairs in neighbouring cells of a spatial hash ``threshold`` wide can
+    be closer than ``threshold``; their exact 4-D distances are compared.
+    """
     n = len(curve)
     if n < 8:
         raise SelfIntersectingSamples("too few samples to resolve a closed curve")
     gaps = np.linalg.norm(np.roll(curve, -1, axis=0) - curve, axis=1)
     threshold = 0.5 * float(np.max(gaps))
-    diff = curve[:, None, :] - curve[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    idx = np.arange(n)
-    band = np.minimum(np.abs(idx[:, None] - idx[None, :]),
-                      n - np.abs(idx[:, None] - idx[None, :]))
-    off_band = dist[band > 2]
-    if off_band.size and float(np.min(off_band)) < threshold:
-        raise SelfIntersectingSamples(
-            "non-adjacent samples closer than half a sample step"
-        )
+    # a hair over threshold / 2, so rounding cannot drop a pair at distance
+    # just under the threshold
+    reach = 0.5 * threshold * (1.0 + 1e-6)
+    for i, j in _overlapping_boxes(curve - reach, curve + reach,
+                                   curve - reach, curve + reach):
+        keep = i < j
+        i, j = i[keep], j[keep]
+        band = np.minimum(j - i, n - (j - i))
+        i, j = i[band > 2], j[band > 2]
+        dist = np.linalg.norm(curve[i] - curve[j], axis=-1)
+        if dist.size and float(np.min(dist)) < threshold:
+            raise SelfIntersectingSamples(
+                "non-adjacent samples closer than half a sample step"
+            )
+
+
+def _row_tiles(rows: int, columns: int):
+    """Row slices covering ``rows`` with about ``_TILE_ELEMENTS`` per block."""
+    step = max(1, _TILE_ELEMENTS // max(columns, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def _overlapping_boxes(lo_a, hi_a, lo_b, hi_b):
+    """Yield index arrays ``(i, j)`` of every pair of overlapping closed boxes.
+
+    Boxes are rows of ``lo``/``hi`` in any dimension.  Each box is entered in
+    the cells of a uniform grid that it touches; a pair is reported once, from
+    the cell holding the low corner of the boxes' intersection, and only if
+    the boxes really overlap.  Cells are as wide as the widest box, so a box
+    touches at most two cells per axis.  Pairs come in chunks of at most
+    ``_CHUNK`` so memory stays bounded when many boxes share a cell.  Boxes
+    with a non-finite corner meet nothing.
+    """
+    dim = lo_a.shape[1]
+    finite_a = np.flatnonzero(np.isfinite(lo_a).all(1) & np.isfinite(hi_a).all(1))
+    finite_b = np.flatnonzero(np.isfinite(lo_b).all(1) & np.isfinite(hi_b).all(1))
+    if finite_a.size == 0 or finite_b.size == 0:
+        return
+    lo_a, hi_a = lo_a[finite_a], hi_a[finite_a]
+    lo_b, hi_b = lo_b[finite_b], hi_b[finite_b]
+    origin = np.minimum(lo_a.min(0), lo_b.min(0))
+    span = float(np.max(np.maximum(hi_a.max(0), hi_b.max(0)) - origin))
+    widest = float(max(np.max(hi_a - lo_a), np.max(hi_b - lo_b)))
+    # at most 2**(62 // dim) cells per axis, so the int64 cell key cannot overflow
+    cell = max(widest, span / 2.0 ** (62 // dim))
+    if not cell > 0:
+        cell = 1.0
+
+    def cells(lo, hi):
+        first = np.floor((lo - origin) / cell).astype(np.int64)
+        last = np.floor((hi - origin) / cell).astype(np.int64)
+        return first, last
+
+    first_a, last_a = cells(lo_a, hi_a)
+    first_b, last_b = cells(lo_b, hi_b)
+    stride = np.ones(dim, dtype=np.int64)
+    for axis in range(dim - 2, -1, -1):
+        top = max(int(last_a[:, axis + 1].max()), int(last_b[:, axis + 1].max()))
+        stride[axis] = stride[axis + 1] * (top + 1)
+
+    def entries(first, last):
+        """(box, cell key) for every cell each box touches."""
+        width = last - first + 1
+        count = np.prod(width, axis=1)
+        box = np.repeat(np.arange(len(first)), count)
+        rank = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
+        key = np.zeros(len(box), dtype=np.int64)
+        for axis in range(dim - 1, -1, -1):
+            w = width[box, axis]
+            key += (first[box, axis] + rank % w) * stride[axis]
+            rank //= w
+        return box, key
+
+    box_a, key_a = entries(first_a, last_a)
+    box_b, key_b = entries(first_b, last_b)
+    order = np.argsort(key_b, kind="stable")
+    box_b, key_b = box_b[order], key_b[order]
+    start = np.searchsorted(key_b, key_a, side="left")
+    count = np.searchsorted(key_b, key_a, side="right") - start
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for lo_flat in range(0, total, _CHUNK):
+        flat = np.arange(lo_flat, min(lo_flat + _CHUNK, total))
+        entry = np.searchsorted(ends, flat, side="right")
+        i = box_a[entry]
+        j = box_b[start[entry] + flat - (ends[entry] - count[entry])]
+        meet = np.all((lo_a[i] <= hi_b[j]) & (lo_b[j] <= hi_a[i]), axis=1)
+        corner = np.maximum(first_a[i], first_b[j]) @ stride
+        once = meet & (corner == key_a[entry])
+        yield finite_a[i[once]], finite_b[j[once]]
 
 
 def reeb_pushoff(curve: np.ndarray, epsilon: float) -> np.ndarray:
@@ -132,40 +221,57 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
 
     Raises DegenerateProjection on parallel overlaps, endpoint grazes, or
     height ties, so callers can retry with a rotated view.
+
+    Only segment pairs whose (x, y) bounding boxes meet can cross or graze,
+    so those pairs alone get the crossing arithmetic.  The boxes are padded
+    by a millionth of the widest one, far beyond the 1e-9 grazing tolerance.
+    ``scale`` is still the largest |denom| over every pair.
     """
     pa, qa = a3, np.roll(a3, -1, axis=0)
     pb, qb = b3, np.roll(b3, -1, axis=0)
     da, db = qa - pa, qb - pb
 
-    denom = da[:, None, 0] * db[None, :, 1] - da[:, None, 1] * db[None, :, 0]
-    offset = pb[None, :, :2] - pa[:, None, :2]
-    cross_a = offset[..., 0] * db[None, :, 1] - offset[..., 1] * db[None, :, 0]
-    cross_b = offset[..., 0] * da[:, None, 1] - offset[..., 1] * da[:, None, 0]
+    scale = 0.0
+    for rows in _row_tiles(len(da), len(db)):
+        denom = (np.multiply.outer(da[rows, 0], db[:, 1])
+                 - np.multiply.outer(da[rows, 1], db[:, 0]))
+        scale = max(scale, float(np.max(np.abs(denom))))
+    scale += 1e-30
 
-    scale = float(np.max(np.abs(denom))) + 1e-30
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = cross_a / denom
-        u = cross_b / denom
-    parallel = np.abs(denom) < 1e-12 * scale
-    inside = (~parallel) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
-    grazing = (~parallel) & (
-        ((np.abs(t) < 1e-9) | (np.abs(t - 1) < 1e-9)
-         | (np.abs(u) < 1e-9) | (np.abs(u - 1) < 1e-9))
-        & (t > -1e-9) & (t < 1 + 1e-9) & (u > -1e-9) & (u < 1 + 1e-9)
-    )
-    if np.any(grazing):
-        raise DegenerateProjection("crossing lands on a segment endpoint")
+    lo_a, hi_a = np.minimum(pa, qa)[:, :2], np.maximum(pa, qa)[:, :2]
+    lo_b, hi_b = np.minimum(pb, qb)[:, :2], np.maximum(pb, qb)[:, :2]
+    boxes = np.concatenate([hi_a - lo_a, hi_b - lo_b])
+    pad = 1e-6 * float(np.max(boxes, initial=0.0, where=np.isfinite(boxes)))
+    hits: list[tuple[np.ndarray, ...]] = []
+    for ia, ib in _overlapping_boxes(lo_a - pad, hi_a + pad, lo_b - pad, hi_b + pad):
+        denom = da[ia, 0] * db[ib, 1] - da[ia, 1] * db[ib, 0]
+        offset = pb[ib, :2] - pa[ia, :2]
+        cross_a = offset[:, 0] * db[ib, 1] - offset[:, 1] * db[ib, 0]
+        cross_b = offset[:, 0] * da[ia, 1] - offset[:, 1] * da[ia, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = cross_a / denom
+            u = cross_b / denom
+        parallel = np.abs(denom) < 1e-12 * scale
+        inside = (~parallel) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
+        grazing = (~parallel) & (
+            ((np.abs(t) < 1e-9) | (np.abs(t - 1) < 1e-9)
+             | (np.abs(u) < 1e-9) | (np.abs(u - 1) < 1e-9))
+            & (t > -1e-9) & (t < 1 + 1e-9) & (u > -1e-9) & (u < 1 + 1e-9)
+        )
+        if np.any(grazing):
+            raise DegenerateProjection("crossing lands on a segment endpoint")
+        hits.append((ia[inside], ib[inside], t[inside], u[inside], denom[inside]))
 
-    ia, ib = np.nonzero(inside)
-    if ia.size == 0:
+    if not hits:
         return 0
-    za = a3[ia, 2] + t[ia, ib] * da[ia, 2]
-    zb = b3[ib, 2] + u[ia, ib] * db[ib, 2]
+    ia, ib, t, u, denom = (np.concatenate(parts) for parts in zip(*hits))
+    za = a3[ia, 2] + t * da[ia, 2]
+    zb = b3[ib, 2] + u * db[ib, 2]
     gap = za - zb
     if np.any(np.abs(gap) < 1e-9 * (1.0 + np.abs(za) + np.abs(zb))):
         raise DegenerateProjection("strands tie in height at a crossing")
 
-    sign_turn = np.sign(denom[ia, ib]).astype(int)
+    sign_turn = np.sign(denom).astype(int)
     over_a = gap > 0
     # det(over, under): when b is over, swap the pair, flipping the sign
     signs = np.where(over_a, sign_turn, -sign_turn)
@@ -205,11 +311,23 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     db = np.roll(b3, -1, axis=0) - b3
     ma = a3 + 0.5 * da
     mb = b3 + 0.5 * db
-    sep = ma[:, None, :] - mb[None, :, :]
-    norm = np.linalg.norm(sep, axis=-1) ** 3
-    cross = np.cross(da[:, None, :], db[None, :, :])
-    triple = np.einsum("ijk,ijk->ij", cross, sep)
-    return float(np.sum(triple / norm) / (4 * math.pi))
+    total = 0.0
+    for rows in _row_tiles(len(ma), len(mb)):
+        # sep = ma - mb and triple = (da x db) . sep, one component at a time
+        sx = np.subtract.outer(ma[rows, 0], mb[:, 0])
+        sy = np.subtract.outer(ma[rows, 1], mb[:, 1])
+        sz = np.subtract.outer(ma[rows, 2], mb[:, 2])
+        ax, ay, az = (da[rows, k, None] for k in range(3))
+        bx, by, bz = db[:, 0], db[:, 1], db[:, 2]
+        triple = (ay * bz - az * by) * sx
+        triple += (az * bx - ax * bz) * sy
+        triple += (ax * by - ay * bx) * sz
+        norm = sx * sx
+        norm += sy * sy
+        norm += sz * sz
+        norm **= 1.5
+        total += float(np.sum(triple / norm))
+    return total / (4 * math.pi)
 
 
 def contact_framing(curve: np.ndarray, epsilon: float = 1e-2) -> int:

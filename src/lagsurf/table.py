@@ -162,8 +162,12 @@ def orientable_catalog(min_chi: int = -4) -> list[SurfaceComplex]:
     genus = 1
     while 2 - 2 * genus >= min_chi:
         s = genus_chain(genus)
-        assert euler_number(s) == 0
-        assert euler_number(s) in rationally_convex_set(s.chi, orientable=True)
+        e = euler_number(s)
+        if e != 0 or e not in rationally_convex_set(s.chi, orientable=True):
+            raise ClosureMismatch(
+                f"genus {genus} chain has (chi, e) = ({s.chi}, {e}); "
+                "the classifier's orientable set must hold it with e = 0"
+            )
         catalog.append(s)
         genus += 1
     return catalog

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import heapq
+import math
 import random
 
 import hypothesis.strategies as st
+import numpy as np
 
 from lagsurf.fronts import EventKind, FrontDiagram, FrontEvent
+from lagsurf.linking import (
+    DegenerateProjection,
+    SelfIntersectingSamples,
+    _choose_pole,
+    stereographic,
+)
 from lagsurf.moves import commute_pair
 
 
@@ -117,3 +125,90 @@ def reference_slide_closure(
                 seen.add(nxt)
                 heapq.heappush(heap, nxt)
     return seen
+
+
+# -- dense all-pairs kernels of ``linking``, kept as references ------------
+
+
+def reference_require_embedded(curve: np.ndarray) -> None:
+    """Reject sample sets whose non-neighbours collide at sample resolution."""
+    n = len(curve)
+    if n < 8:
+        raise SelfIntersectingSamples("too few samples to resolve a closed curve")
+    gaps = np.linalg.norm(np.roll(curve, -1, axis=0) - curve, axis=1)
+    threshold = 0.5 * float(np.max(gaps))
+    diff = curve[:, None, :] - curve[None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    idx = np.arange(n)
+    band = np.minimum(np.abs(idx[:, None] - idx[None, :]),
+                      n - np.abs(idx[:, None] - idx[None, :]))
+    off_band = dist[band > 2]
+    if off_band.size and float(np.min(off_band)) < threshold:
+        raise SelfIntersectingSamples(
+            "non-adjacent samples closer than half a sample step"
+        )
+
+
+def reference_planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
+    """Signed inter-curve crossing sum in the (x, y) view of two 3-space loops.
+
+    Raises DegenerateProjection on parallel overlaps, endpoint grazes, or
+    height ties, so callers can retry with a rotated view.
+    """
+    pa, qa = a3, np.roll(a3, -1, axis=0)
+    pb, qb = b3, np.roll(b3, -1, axis=0)
+    da, db = qa - pa, qb - pb
+
+    denom = da[:, None, 0] * db[None, :, 1] - da[:, None, 1] * db[None, :, 0]
+    offset = pb[None, :, :2] - pa[:, None, :2]
+    cross_a = offset[..., 0] * db[None, :, 1] - offset[..., 1] * db[None, :, 0]
+    cross_b = offset[..., 0] * da[:, None, 1] - offset[..., 1] * da[:, None, 0]
+
+    scale = float(np.max(np.abs(denom))) + 1e-30
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = cross_a / denom
+        u = cross_b / denom
+    parallel = np.abs(denom) < 1e-12 * scale
+    inside = (~parallel) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
+    grazing = (~parallel) & (
+        ((np.abs(t) < 1e-9) | (np.abs(t - 1) < 1e-9)
+         | (np.abs(u) < 1e-9) | (np.abs(u - 1) < 1e-9))
+        & (t > -1e-9) & (t < 1 + 1e-9) & (u > -1e-9) & (u < 1 + 1e-9)
+    )
+    if np.any(grazing):
+        raise DegenerateProjection("crossing lands on a segment endpoint")
+
+    ia, ib = np.nonzero(inside)
+    if ia.size == 0:
+        return 0
+    za = a3[ia, 2] + t[ia, ib] * da[ia, 2]
+    zb = b3[ib, 2] + u[ia, ib] * db[ib, 2]
+    gap = za - zb
+    if np.any(np.abs(gap) < 1e-9 * (1.0 + np.abs(za) + np.abs(zb))):
+        raise DegenerateProjection("strands tie in height at a crossing")
+
+    sign_turn = np.sign(denom[ia, ib]).astype(int)
+    over_a = gap > 0
+    # det(over, under): when b is over, swap the pair, flipping the sign
+    signs = np.where(over_a, sign_turn, -sign_turn)
+    return int(np.sum(signs))
+
+
+def reference_gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
+    """Gauss double-integral route over the stereographic images (unrounded).
+
+    Kept independent of :func:`linking_number` so the two can validate each
+    other; midpoint rule over segment pairs.
+    """
+    pole = _choose_pole((first, second))
+    a3 = stereographic(first, pole)
+    b3 = stereographic(second, pole)
+    da = np.roll(a3, -1, axis=0) - a3
+    db = np.roll(b3, -1, axis=0) - b3
+    ma = a3 + 0.5 * da
+    mb = b3 + 0.5 * db
+    sep = ma[:, None, :] - mb[None, :, :]
+    norm = np.linalg.norm(sep, axis=-1) ** 3
+    cross = np.cross(da[:, None, :], db[None, :, :])
+    triple = np.einsum("ijk,ijk->ij", cross, sep)
+    return float(np.sum(triple / norm) / (4 * math.pi))

@@ -1,11 +1,16 @@
 """End-to-end command dispatch: exit codes, JSON contracts, script replay."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import lagsurf.cli
+import lagsurf.linking
 from lagsurf.cli import main, run_surface_script, witness_script
 from lagsurf.surfaces import euler_number
 from lagsurf.table import derive_table
@@ -276,3 +281,44 @@ def test_stdin_dash(capsys, monkeypatch):
     code, out, _ = run(capsys, "front", "stats", "-")
     assert code == 0
     assert json.loads(out)["components"] == 1
+
+
+def test_verify_maps_a_degenerate_projection_to_an_error_line(capsys, monkeypatch):
+    def degenerate(curve):
+        raise lagsurf.linking.DegenerateProjection("all views degenerate")
+
+    monkeypatch.setattr(lagsurf.linking, "contact_framing", degenerate)
+    code, out, err = run(capsys, "verify", "curve")
+    assert code == 1
+    assert out == ""
+    assert err == "error: all views degenerate\n"
+
+
+NUMPY_FREE_VERBS = [
+    ["classify", "--chi", "-3", "--euler", "-10"],
+    ["front", "stats", corpus_file("three-sum-core")],
+    ["moves", "equiv", corpus_file("unknot"), corpus_file("unknot-reversed")],
+]
+
+
+def test_numpy_free_verbs_do_not_import_numpy(capsys):
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import lagsurf.cli\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "outputs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buffer = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buffer):\n"
+        "        code = lagsurf.cli.main(argv)\n"
+        "    outputs.append([code, buffer.getvalue()])\n"
+        "print(json.dumps([loaded, 'numpy' in sys.modules, outputs]))\n"
+    )
+    src = str(pathlib.Path(lagsurf.cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(NUMPY_FREE_VERBS)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    loaded_on_import, loaded_after, outputs = json.loads(done.stdout)
+    assert not loaded_on_import and not loaded_after
+    assert outputs == [list(run(capsys, *argv)[:2]) for argv in NUMPY_FREE_VERBS]

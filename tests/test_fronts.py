@@ -12,6 +12,7 @@ from lagsurf.fronts import (
     MultiComponentInput,
     NegativeStrandCount,
     NonClosedFront,
+    OddCrossingSum,
     PositionOutOfRange,
     front_connected_sum,
     word,
@@ -54,6 +55,14 @@ def test_link_table(text, invariants, lk):
     assert d.classical_invariants() == tuple(invariants)
     assert d.linking_number(0, 1) == lk
     assert d.linking_matrix() == ((0, lk), (lk, 0))
+
+
+def test_odd_inter_component_crossing_sum_raises(monkeypatch):
+    d = FrontDiagram.from_word("L1 L2 X1 X3 R2 R1")
+    full = FrontDiagram.crossings
+    monkeypatch.setattr(FrontDiagram, "crossings", lambda self: full(self)[:-1])
+    with pytest.raises(OddCrossingSum):
+        d.linking_number(0, 1)
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,14 @@ def test_convergence_ratios_quarter():
     report = convergence_to_cone([0.2, 0.1, 0.05])
     assert all(0.2 <= r <= 0.3 for r in report.ratios)
     assert report.distances[0] > report.distances[1] > report.distances[2] > 0
+    assert report.passed
+
+
+def test_convergence_off_the_quartering_band_fails():
+    # A ratio 0.75 halves nothing; the report says so instead of raising.
+    report = convergence_to_cone([0.2, 0.15])
+    assert not 0.2 <= report.ratios[0] <= 0.3
+    assert report.passed is False
 
 
 @pytest.mark.parametrize("a", [0.2, 0.05])

@@ -1,22 +1,34 @@
 """Integer oracles on sphere curves, anchored by the circle-fibre pair."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    reference_gauss_linking,
+    reference_planar_crossings,
+    reference_require_embedded,
+)
 from lagsurf.fronts import FrontDiagram
-from lagsurf.immersions import boundary_curve
+from lagsurf.immersions import boundary_curve, cone_family, pullback_residual
 from lagsurf.linking import (
+    _VIEW_SEEDS,
     DegenerateProjection,
     SelfIntersectingSamples,
     TangentDegenerate,
+    _choose_pole,
+    _overlapping_boxes,
     _planar_crossings,
+    _require_embedded,
+    _view_rotation,
     contact_framing,
     gauss_linking,
     linking_number,
     reeb_pushoff,
+    stereographic,
     tangent_winding,
 )
 
@@ -113,6 +125,8 @@ def test_doubly_covered_circle_is_rejected():
     curve = pack(np.cos(doubled) + 0j, np.sin(doubled) + 0j)
     with pytest.raises(SelfIntersectingSamples):
         contact_framing(curve)
+    with pytest.raises(SelfIntersectingSamples):
+        reference_require_embedded(curve)
 
 
 def test_too_few_samples_rejected():
@@ -126,6 +140,7 @@ def test_height_tie_is_degenerate():
     )
     with pytest.raises(DegenerateProjection):
         _planar_crossings(square, square + [0.5, 0.5, 0.0])
+    assert_same_crossings(square, square + [0.5, 0.5, 0.0])
 
 
 def test_stalled_samples_degenerate_the_tangent():
@@ -141,3 +156,141 @@ def test_framing_invariant_under_the_circle_action(theta):
     curve = reeb_pushoff(flat_circle(), theta)
     assert contact_framing(curve) == -1
     assert tangent_winding(curve) == 0
+
+
+# -- the bounded-memory kernels against the dense references ---------------
+
+
+def outcome(kernel, *args):
+    """The kernel's value, or the type of the exception it raised."""
+    try:
+        return kernel(*args)
+    except (DegenerateProjection, SelfIntersectingSamples) as err:
+        return type(err)
+
+
+def assert_same_crossings(a3, b3):
+    assert outcome(_planar_crossings, a3, b3) == outcome(reference_planar_crossings, a3, b3)
+
+
+def assert_kernels_agree(first, second):
+    """Embeddedness, every view's crossing sum, and the Gauss sum agree."""
+    for curve in (first, second):
+        assert outcome(_require_embedded, curve) == outcome(reference_require_embedded, curve)
+    pole = _choose_pole((first, second))
+    a3, b3 = stereographic(first, pole), stereographic(second, pole)
+    for angle in _VIEW_SEEDS:
+        view = _view_rotation(angle)
+        assert_same_crossings(a3 @ view.T, b3 @ view.T)
+    expected = reference_gauss_linking(first, second)
+    assert gauss_linking(first, second) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def sample_pairs(n):
+    s = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    r = 1 / math.sqrt(2)
+    a, b = np.exp(1j * s), np.exp(1j * (s + 0.3 / n))
+    boundary = boundary_curve(s)
+    flat = pack(np.cos(s) + 0j, np.sin(s) + 0j)
+    return {
+        "boundary": (boundary, reeb_pushoff(boundary, 1e-2)),
+        "flat": (flat, reeb_pushoff(flat, 1e-2)),
+        "hopf": (pack(r * a, r * a), pack(r * b, -r * b)),
+    }
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("name", ["boundary", "flat", "hopf"])
+def test_kernels_agree_with_dense_references(n, name):
+    assert_kernels_agree(*sample_pairs(n)[name])
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([24, 64, 100]),
+    st.floats(min_value=0.0, max_value=0.3),
+    st.sampled_from(["boundary", "flat", "hopf"]),
+)
+def test_kernels_agree_on_perturbed_curves(seed, n, amplitude, name):
+    rng = np.random.default_rng(seed)
+
+    def perturb(curve):
+        moved = curve + amplitude * rng.standard_normal(curve.shape) / math.sqrt(n)
+        return moved / np.linalg.norm(moved, axis=1, keepdims=True)
+
+    first, second = sample_pairs(n)[name]
+    first = perturb(first)
+    second = perturb(second) if name == "hopf" else reeb_pushoff(first, 1e-2)
+    assert_kernels_agree(first, second)
+
+
+def test_endpoint_graze_agrees():
+    square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    # the first edge of the slanted loop runs through the square's corner (1, 0)
+    slanted = np.array([[0.0, -1.0, 1.0], [2.0, 1.0, 1.0], [2.0, -1.0, 1.0]])
+    with pytest.raises(DegenerateProjection):
+        _planar_crossings(square, slanted)
+    assert_same_crossings(square, slanted)
+
+
+def test_parallel_overlap_agrees():
+    square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    # bottom and top edges lie along the square's own, half overlapping
+    assert_same_crossings(square, square + [0.5, 0.0, 1.0])
+    # a sliver of a loop along the bottom edge, away from every corner
+    sliver = np.array([[0.25, 0.0, 1.0], [0.75, 0.0, 1.0], [0.5, -0.5, 1.0]])
+    assert_same_crossings(square, sliver)
+
+
+def test_every_segment_in_one_cell_agrees():
+    # one far vertex makes the grid cell as wide as the whole picture, so every
+    # pair is a candidate and the candidates span many chunks
+    rng = np.random.default_rng(7)
+    a3 = rng.standard_normal((400, 3))
+    b3 = rng.standard_normal((400, 3))
+    a3[0] = [1e3, 1e3, 0.0]
+    assert_same_crossings(a3, b3)
+    assert_same_crossings(b3, a3)
+
+
+def peak_mib(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracles_run_in_bounded_memory():
+    pairs = sample_pairs(4096)
+    assert peak_mib(contact_framing, pairs["boundary"][0]) < 128
+    assert peak_mib(linking_number, *pairs["hopf"]) < 128
+    assert peak_mib(gauss_linking, *pairs["boundary"]) < 128
+    grid = (cone_family(), np.linspace(0.0, math.pi, 1024), np.linspace(0.1, 1.0, 1024))
+    assert peak_mib(pullback_residual, *grid) < 32
+
+
+def test_overlapping_boxes_match_a_scan():
+    rng = np.random.default_rng(3)
+    for trial in range(60):
+        dim = int(rng.integers(1, 5))
+        na, nb = (int(k) for k in rng.integers(1, 40, 2))
+        lo_a, lo_b = rng.standard_normal((na, dim)), rng.standard_normal((nb, dim))
+        hi_a = lo_a + rng.exponential(0.3, (na, dim)) * (rng.random((na, 1)) < 0.8)
+        hi_b = lo_b + rng.exponential(0.3, (nb, dim))
+        if trial % 5 == 0:
+            lo_a[0, 0] = np.nan  # a box with a non-finite corner meets nothing
+        found = sorted(
+            (int(i), int(j))
+            for ia, ib in _overlapping_boxes(lo_a, hi_a, lo_b, hi_b)
+            for i, j in zip(ia, ib)
+        )
+        scan = [
+            (i, j)
+            for i in range(na)
+            for j in range(nb)
+            if np.all(lo_a[i] <= hi_b[j]) and np.all(lo_b[j] <= hi_a[i])
+        ]
+        assert found == scan

@@ -1,5 +1,6 @@
 import pytest
 
+import lagsurf.table
 from lagsurf.surfaces import DiskBundle, euler_number
 from lagsurf.table import (
     SEED,
@@ -72,6 +73,12 @@ def test_orientable_catalog():
     assert all(s.orientable for s in catalog)
     with pytest.raises(ValueError):
         orientable_catalog(-3)
+
+
+def test_orientable_catalog_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(lagsurf.table, "euler_number", lambda surface: 2)
+    with pytest.raises(ClosureMismatch):
+        orientable_catalog(-2)
 
 
 def test_indexed_rows_and_edges_match_a_scan():
