@@ -12,7 +12,6 @@ from lagsurf.fronts import (
     NonClosedFront,
     OddCrossingSum,
     PositionOutOfRange,
-    RightCuspOnDisjointArcs,
     front_connected_sum,
     word,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "NonClosedFront",
     "OddCrossingSum",
     "PositionOutOfRange",
-    "RightCuspOnDisjointArcs",
     "front_connected_sum",
     "word",
 ]

@@ -12,7 +12,9 @@ translates Euler numbers into allowed counts of basic cone points via
 All four are arithmetic progressions of step 4 before exclusions.  Invalid
 ``(chi, orientable)`` pairs are rejected with :class:`InvalidSurface` rather
 than returning an empty set, to keep "no such surface" distinct from
-"surface exists but embeds nowhere".
+"surface exists but embeds nowhere".  :func:`check_closed_surface` is the
+one statement of which closed surfaces exist; the surface layer's closed
+complexes and disk bundles call it too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ class InvalidSurface(ValueError):
     """No closed surface has this (chi, orientable) combination."""
 
 
-def _validate(chi: int, orientable: bool) -> None:
+def check_closed_surface(chi: int, orientable: bool) -> None:
+    """Raise :class:`InvalidSurface` unless a closed surface has this chi.
+
+    Two-sided closed surfaces have even chi of at most 2; one-sided ones
+    have chi of at most 1.
+    """
     if orientable and (chi % 2 or chi > 2):
         raise InvalidSurface(f"no closed two-sided surface has chi = {chi}")
     if not orientable and chi > 1:
@@ -35,7 +42,7 @@ def massey_set(chi: int, orientable: bool = False) -> set[int]:
     Two-sided surfaces embed only with e = 0; one-sided surfaces realize the
     progression 2*chi - 4, ..., 4 - 2*chi.
     """
-    _validate(chi, orientable)
+    check_closed_surface(chi, orientable)
     if orientable:
         return {0}
     return {2 * chi - 4 + 4 * j for j in range(2 - chi + 1)}
@@ -48,7 +55,7 @@ def stein_set(chi: int, orientable: bool = False) -> set[int]:
     truncated above at -2*chi + 4*floor(chi/4); floor is toward minus
     infinity, which is what makes the chi = -5 row end at e = 2.
     """
-    _validate(chi, orientable)
+    check_closed_surface(chi, orientable)
     if orientable:
         return {0} if chi <= 0 else set()
     top = -2 * chi + 4 * (chi // 4)

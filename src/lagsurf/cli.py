@@ -19,13 +19,8 @@ from dataclasses import asdict
 from functools import cache
 from typing import Sequence
 
-from .classify import (
-    InvalidSurface,
-    massey_set,
-    rationally_convex_set,
-    stein_set,
-)
-from .dsl import FrontDocument, document_from_diagram, parse_front, serialize_front
+from .classify import massey_set, rationally_convex_set, stein_set
+from .dsl import parse_front
 from .fronts import FrontDiagram, FrontError, word
 from .moves import MoveDirection, MoveId, MoveInstance, apply_move, applicable_moves, equivalent_within
 from .render import render_svg
@@ -315,24 +310,13 @@ def _report_dict(check: str, report) -> dict:
     return {"check": check, **asdict(report)}
 
 
-def _write_grid_csv(path: str, family, first, second) -> None:
-    import numpy as np
-
+def _write_csv(path: str, params: Sequence[str], rows) -> None:
+    """One line per sample: its parameters, then its point in 4-space."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["a", "b", "q1", "p1", "q2", "p2"])
-        for a in first:
-            row = family.evaluator(np.full_like(second, a), second)
-            for b, point in zip(second, row):
-                writer.writerow([f"{a:.6f}", f"{b:.6f}", *(f"{c:.9f}" for c in point)])
-
-
-def _write_curve_csv(path: str, s, points) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["s", "q1", "p1", "q2", "p2"])
-        for value, point in zip(s, points):
-            writer.writerow([f"{value:.6f}", *(f"{c:.9f}" for c in point)])
+        writer.writerow([*params, "q1", "p1", "q2", "p2"])
+        for values, point in rows:
+            writer.writerow([*(f"{v:.6f}" for v in values), *(f"{c:.9f}" for c in point)])
 
 
 def _verify(args) -> int:
@@ -352,65 +336,63 @@ def _verify(args) -> int:
     )
     from .linking import DegenerateProjection, contact_framing, tangent_winding
 
-    reports: list[dict] = []
-    extra: dict = {}
-    if args.family == "strip":
+    # Each family gives its (check, report) pairs, extra JSON fields, whether
+    # those fields hold their required values, and its samples for the CSV as
+    # (columns, rows), or None.
+    def grid(family, first, second, *checks, **extra):
+        pullback = pullback_residual(family, first, second, args.step, args.tolerance)
+        rows = (
+            ((a, b), point)
+            for a in first
+            for b, point in zip(second, family.evaluator(np.full_like(second, a), second))
+        )
+        return [("pullback", pullback), *checks], extra, True, (("a", "b"), rows)
+
+    def strip():
         half = strip_half_width(args.a)
-        family = strip_family(args.a)
-        first = np.linspace(0.0, math.pi, args.grid)
-        second = np.linspace(-half, half, args.grid)
-        reports.append(
-            _report_dict(
-                "pullback",
-                pullback_residual(family, first, second, args.step, args.tolerance),
-            )
+        return grid(
+            strip_family(args.a),
+            np.linspace(0.0, math.pi, args.grid),
+            np.linspace(-half, half, args.grid),
+            ("identities", strip_identities(args.a)),
+            a=args.a,
         )
-        reports.append(_report_dict("identities", strip_identities(args.a)))
-        extra["a"] = args.a
-    elif args.family == "cone":
-        family = cone_family()
-        first = np.linspace(0.0, math.pi, args.grid)
-        second = np.linspace(0.1, 1.0, args.grid)
-        reports.append(
-            _report_dict(
-                "pullback",
-                pullback_residual(family, first, second, args.step, args.tolerance),
-            )
-        )
-    elif args.family == "umbrella":
-        family = umbrella_family()
-        first = second = np.linspace(-1.0, 1.0, args.grid)
-        reports.append(
-            _report_dict(
-                "pullback",
-                pullback_residual(family, first, second, args.step, args.tolerance),
-            )
-        )
-        reports.append(_report_dict("liouville", liouville_identity()))
-    elif args.family == "curve":
-        reports.append(
-            _report_dict("legendrian", legendrian_residual(tolerance=args.tolerance))
-        )
+
+    def umbrella():
+        square = np.linspace(-1.0, 1.0, args.grid)
+        return grid(umbrella_family(), square, square, ("liouville", liouville_identity()))
+
+    def curve():
         s = np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
-        curve = boundary_curve(s)
-        try:
-            extra["framing"] = contact_framing(curve)
-        except DegenerateProjection as err:
-            return _domain_error(err)
-        extra["winding"] = tangent_winding(curve)
-    else:  # convergence
-        reports.append(
-            _report_dict("convergence", convergence_to_cone([0.2, 0.1, 0.05]))
-        )
+        points = boundary_curve(s)
+        legendrian = legendrian_residual(tolerance=args.tolerance)
+        extra = {"framing": contact_framing(points), "winding": tangent_winding(points)}
+        extra_ok = extra == {"framing": -2, "winding": 1}
+        rows = (((value,), point) for value, point in zip(s, points))
+        return [("legendrian", legendrian)], extra, extra_ok, (("s",), rows)
 
-    if args.csv:
-        if args.family in ("strip", "cone", "umbrella"):
-            _write_grid_csv(args.csv, family, first, second)
-        elif args.family == "curve":
-            s = np.linspace(0.0, 2 * math.pi, 512, endpoint=False)
-            _write_curve_csv(args.csv, s, boundary_curve(s))
+    families = {
+        "strip": strip,
+        "cone": lambda: grid(
+            cone_family(),
+            np.linspace(0.0, math.pi, args.grid),
+            np.linspace(0.1, 1.0, args.grid),
+        ),
+        "umbrella": umbrella,
+        "curve": curve,
+        "convergence": lambda: (
+            [("convergence", convergence_to_cone([0.2, 0.1, 0.05]))], {}, True, None
+        ),
+    }
+    try:
+        checks, extra, extra_ok, samples = families[args.family]()
+    except DegenerateProjection as err:
+        return _domain_error(err)
+    if args.csv and samples:
+        _write_csv(args.csv, *samples)
 
-    passed = all(r["passed"] for r in reports)
+    reports = [_report_dict(check, report) for check, report in checks]
+    passed = extra_ok and all(r["passed"] for r in reports)
     _emit_json({"schema": 1, "family": args.family, "passed": passed, **extra,
                 "reports": reports})
     return 0 if passed else 1

@@ -112,16 +112,6 @@ class NonClosedFront(FrontError):
         super().__init__(f"word ends with {leftover} strands still open")
 
 
-class RightCuspOnDisjointArcs(FrontError):
-    """Reserved.
-
-    A right cusp joining arcs of two different components is legal -- it is
-    the cusp connected sum and simply merges the components -- so validation
-    never raises this.  The class is kept so callers that want to forbid the
-    merge can do so themselves.
-    """
-
-
 class MultiComponentInput(FrontError):
     """A single-component front was required."""
 

@@ -65,8 +65,6 @@ class ImmersionFamily:
 
     name: str
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    domain: str
-    parameters: tuple[float, ...] = ()
     apex_excluded: bool = False
 
 
@@ -106,7 +104,7 @@ def strip_family(a: float) -> ImmersionFamily:
         z2 = a * t * np.exp(-1j * s)
         return _pack(z1, z2)
 
-    return ImmersionFamily("strip", evaluate, "s in R, T in R", (a,))
+    return ImmersionFamily("strip", evaluate)
 
 
 def cone_family() -> ImmersionFamily:
@@ -116,7 +114,7 @@ def cone_family() -> ImmersionFamily:
         z2 = t * np.exp(-1j * s)
         return _pack(z1, z2)
 
-    return ImmersionFamily("cone", evaluate, "s in R, T != 0", apex_excluded=True)
+    return ImmersionFamily("cone", evaluate, apex_excluded=True)
 
 
 def umbrella_family() -> ImmersionFamily:
@@ -126,7 +124,7 @@ def umbrella_family() -> ImmersionFamily:
         z2 = u + (2.0 / 3.0) * 1j * t**3
         return _pack(z1, z2)
 
-    return ImmersionFamily("umbrella", evaluate, "(t, u) in R^2")
+    return ImmersionFamily("umbrella", evaluate)
 
 
 def boundary_curve(s: np.ndarray) -> np.ndarray:

@@ -48,8 +48,9 @@ rewrite cannot change how an untouched cusp is traversed.
 Internal coding
 ---------------
 
-Slide-only computations (slide closures, canonical keys, slide paths, the
-keys of the equivalence search) run on words coded as tuples of ints, one
+Slide-only computations (slide closures, canonical keys, the keys of the
+equivalence search, and the one breadth-first slide search behind slide
+paths and cusp alignment) run on words coded as tuples of ints, one
 ``rank(kind) << 32 | (pos + 2**31)`` per event, with ranks ``L < R < X``
 as the kinds' string values compare.  For positions of magnitude below
 ``2**31`` the code is strictly monotone in ``(kind, pos)``, so coded words
@@ -67,7 +68,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from lagsurf.fronts import (
     EventKind,
@@ -401,6 +402,7 @@ def applicable_moves(diagram: FrontDiagram) -> list[MoveInstance]:
 
 _SLIDE_CAP = 2048
 _NODE_CAP = 8192
+_ALIGN_CAP = 4096
 
 # Event codes (see "Internal coding" above): rank << 32 | (pos + _POS_BIAS).
 Coded = tuple[int, ...]
@@ -458,28 +460,70 @@ def canonical_word(events: Word, cap: int = _SLIDE_CAP) -> Word:
     return _decode(min(_slide_closure(_encode(events), cap)))
 
 
+def _slide_search(
+    start: Coded,
+    marks: tuple[int, ...],
+    found: Callable[[Coded, tuple[int, ...]], bool],
+    cap: int,
+) -> Optional[tuple[Coded, tuple[int, ...], list[int]]]:
+    """Breadth-first search of the slide class of ``start`` for a ``found`` state.
+
+    A state is a coded word with ``marks``, event indices that follow their
+    events as slides move them.  Returns the first state in breadth-first
+    order for which ``found(word, marks)`` holds, with the indices of the
+    slides that reach it, or ``None``.  States are tested when discovered,
+    and expansion stops once ``cap`` states are seen.
+    """
+    first = (start, marks)
+    if found(*first):
+        return start, marks, []
+    parent: dict[tuple[Coded, tuple[int, ...]], tuple] = {first: ()}
+    queue = deque([first])
+    while queue and len(parent) < cap:
+        state = queue.popleft()
+        for i, nxt in _slide_neighbors(state[0]):
+            moved = tuple(i + 1 if m == i else i if m == i + 1 else m for m in state[1])
+            child = (nxt, moved)
+            if child in parent:
+                continue
+            parent[child] = (state, i)
+            if found(nxt, moved):
+                indices = []
+                while parent[child]:
+                    child, index = parent[child]
+                    indices.append(index)
+                return nxt, moved, indices[::-1]
+            queue.append(child)
+    return None
+
+
 def _slide_path(start: Coded, goal: Coded, cap: int = _SLIDE_CAP) -> list[MoveInstance]:
     """Slide sequence from ``start`` to ``goal`` (same slide class)."""
-    if start == goal:
-        return []
-    parent: dict[Coded, tuple[Coded, int]] = {start: (start, -1)}
-    queue = deque([start])
-    while queue and len(parent) < cap:
-        current = queue.popleft()
-        for i, nxt in _slide_neighbors(current):
-            if nxt in parent:
-                continue
-            parent[nxt] = (current, i)
-            if nxt == goal:
-                path = []
-                node = goal
-                while node != start:
-                    node, index = parent[node]
-                    path.append(MoveInstance(MoveId.SLIDE, (index, 0), FORWARD))
-                path.reverse()
-                return path
-            queue.append(nxt)
-    raise FrontError("slide path not found within cap")
+    hit = _slide_search(start, (), lambda codes, _: codes == goal, cap)
+    if hit is None:
+        raise FrontError("slide path not found within cap")
+    return [MoveInstance(MoveId.SLIDE, (i, 0), FORWARD) for i in hit[2]]
+
+
+def align_facing_cusps(
+    events: Word, right_index: int, left_index: int
+) -> Optional[tuple[Word, int]]:
+    """Slide a word until the given merge sits just before the given birth.
+
+    Returns the rewritten word and the index of the merge event, which is
+    then directly followed by the birth at the same height, or ``None`` when
+    no slide sequence within the first ``_ALIGN_CAP`` states aligns them.
+    """
+
+    def facing(codes: Coded, marks: tuple[int, ...]) -> bool:
+        r, l = marks
+        return l == r + 1 and _decode_event(codes[r]).pos == _decode_event(codes[l]).pos
+
+    hit = _slide_search(_encode(events), (right_index, left_index), facing, _ALIGN_CAP)
+    if hit is None:
+        return None
+    codes, (r, _), _ = hit
+    return _decode(codes), r
 
 
 def _pattern_moves(diagram_word: Word) -> list[MoveInstance]:

@@ -17,19 +17,11 @@ surface) and replaying a rewrite witness along a cylinder.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
+from .classify import check_closed_surface
 from .fronts import FrontDiagram, FrontError
-from .moves import (
-    MoveInstance,
-    MoveNotApplicable,
-    _decode,
-    _decode_event,
-    _encode,
-    _slide_neighbors,
-    replay_moves,
-)
+from .moves import MoveInstance, MoveNotApplicable, align_facing_cusps, replay_moves
 
 
 class SurfaceError(Exception):
@@ -117,10 +109,7 @@ class SurfaceComplex:
         object.__setattr__(self, "singularities", tuple(self.singularities))
         object.__setattr__(self, "witness", tuple(self.witness))
         if self.is_closed:
-            if self.orientable and (self.chi % 2 or self.chi > 2):
-                raise ValueError(f"no closed orientable surface has chi = {self.chi}")
-            if not self.orientable and self.chi > 1:
-                raise ValueError(f"no closed one-sided surface has chi = {self.chi}")
+            check_closed_surface(self.chi, self.orientable)
 
     @property
     def is_closed(self) -> bool:
@@ -139,10 +128,7 @@ class DiskBundle:
     orientable: bool = False
 
     def __post_init__(self) -> None:
-        if self.orientable and (self.chi % 2 or self.chi > 2):
-            raise ValueError(f"no closed orientable base has chi = {self.chi}")
-        if not self.orientable and self.chi > 1:
-            raise ValueError(f"no closed one-sided base has chi = {self.chi}")
+        check_closed_surface(self.chi, self.orientable)
 
 
 def euler_number(s: SurfaceComplex) -> int:
@@ -230,33 +216,6 @@ def mark_umbrella(s: SurfaceComplex, singularity_index: int, umbrella: bool = Tr
     return replace(s, singularities=tuple(sings))
 
 
-def _align_facing_cusps(
-    events: tuple, right_index: int, left_index: int, cap: int = 4096
-) -> tuple[tuple, int]:
-    """Slide a word until the designated merge sits just before the birth.
-
-    Returns the rewritten word and the index of the merge event, which is
-    then directly followed by the birth at the same height.  Raises
-    :class:`CuspsNotInwardFacing` when no slide sequence aligns them.
-    """
-    start = (_encode(events), right_index, left_index)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        word, r, l = queue.popleft()
-        if l == r + 1 and _decode_event(word[r]).pos == _decode_event(word[l]).pos:
-            return _decode(word), r
-        if len(seen) >= cap:
-            break
-        for i, nxt in _slide_neighbors(word):
-            moved = {i: i + 1, i + 1: i}
-            state = (nxt, moved.get(r, r), moved.get(l, l))
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    raise CuspsNotInwardFacing("cusps cannot be brought face to face by slides")
-
-
 def one_handle(s: SurfaceComplex, cusp_a: int, cusp_b: int) -> SurfaceComplex:
     """Attach a tube between two facing cusps of the boundary front.
 
@@ -286,8 +245,11 @@ def one_handle(s: SurfaceComplex, cusp_a: int, cusp_b: int) -> SurfaceComplex:
         and right_cusp.sense == left_cusp.sense
     )
 
-    aligned, j = _align_facing_cusps(events, right_index, left_index)
-    rewritten = FrontDiagram(aligned[:j] + aligned[j + 2 :])
+    aligned = align_facing_cusps(events, right_index, left_index)
+    if aligned is None:
+        raise CuspsNotInwardFacing("cusps cannot be brought face to face by slides")
+    word, j = aligned
+    rewritten = FrontDiagram(word[:j] + word[j + 2 :])
     return replace(
         s,
         chi=s.chi - 1,

@@ -45,8 +45,6 @@ class Rule(str, Enum):
     DIAGONAL = "diagonal"
 
 
-_RULE_ORDER = {Rule.VERTICAL: 0, Rule.DIAGONAL: 1}
-
 SEED = DiskBundle(0, -4)
 
 
@@ -90,12 +88,15 @@ class DerivationGraph:
         return self._outgoing.get(node, ())
 
 
-def _path_key(path: tuple[Rule, ...]) -> tuple[int, ...]:
-    return tuple(_RULE_ORDER[rule] for rule in path)
-
-
 def derive_table(min_chi: int = -5) -> DerivationGraph:
-    """Breadth-first closure of the seed under the two rules, row by row."""
+    """Breadth-first closure of the seed under the two rules, row by row.
+
+    Each child keeps the first witness that reaches it, which is its least.
+    Every witness in a row has the same length, and a row's nodes are kept
+    in increasing witness order; each parent, taken in that order, offers
+    vertical before diagonal, so the candidates for the next row arrive in
+    increasing order and its nodes are kept in increasing witness order too.
+    """
     if min_chi > 0:
         raise ValueError("min_chi must be <= 0")
     witnesses: dict[DiskBundle, tuple[Rule, ...]] = {SEED: ()}
@@ -103,7 +104,7 @@ def derive_table(min_chi: int = -5) -> DerivationGraph:
     frontier = [SEED]
     for _ in range(0, -min_chi):
         next_row: dict[DiskBundle, tuple[Rule, ...]] = {}
-        for node in sorted(frontier, key=lambda n: n.euler):
+        for node in frontier:
             children = [(Rule.VERTICAL, DiskBundle(node.chi - 1, node.euler - 2))]
             if -node.euler - node.chi >= 1:
                 children.append(
@@ -111,11 +112,7 @@ def derive_table(min_chi: int = -5) -> DerivationGraph:
                 )
             for rule, child in children:
                 edges.append(Edge(node, child, rule))
-                candidate = witnesses[node] + (rule,)
-                if child not in next_row or _path_key(candidate) < _path_key(
-                    next_row[child]
-                ):
-                    next_row[child] = candidate
+                next_row.setdefault(child, witnesses[node] + (rule,))
         witnesses.update(next_row)
         frontier = list(next_row)
     return DerivationGraph(min_chi, frozenset(witnesses), tuple(edges), witnesses)

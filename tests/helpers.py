@@ -19,13 +19,15 @@ from lagsurf.linking import (
 from lagsurf.moves import commute_pair
 
 
-def random_word(
-    rng: random.Random, max_events: int = 12, max_strands: int = 6
-) -> tuple[FrontEvent, ...]:
-    """A valid closed word built by simulating the strand stack."""
+def _strand_stack_word(integer, choice, max_events: int, max_strands: int):
+    """A valid closed word built by simulating the strand stack.
+
+    ``integer(lo, hi)`` picks an int in ``[lo, hi]`` and ``choice(options)``
+    one of the options, so one body serves plain-random and hypothesis draws.
+    """
     events: list[FrontEvent] = []
     n = 0
-    target = rng.randint(2, max_events)
+    target = integer(2, max_events)
     while True:
         if n == 0:
             if len(events) >= target:
@@ -37,16 +39,22 @@ def random_word(
             options = ["X", "R", "R"]
             if n < max_strands:
                 options += ["L", "L"]
-            kind = rng.choice(options)
+            kind = choice(options)
         if kind == "L":
-            pos = rng.randint(1, n + 1)
+            pos = integer(1, n + 1)
             n += 2
         else:
-            pos = rng.randint(1, n - 1)
+            pos = integer(1, n - 1)
             if kind == "R":
                 n -= 2
         events.append(FrontEvent(EventKind(kind), pos))
     return tuple(events)
+
+
+def random_word(
+    rng: random.Random, max_events: int = 12, max_strands: int = 6
+) -> tuple[FrontEvent, ...]:
+    return _strand_stack_word(rng.randint, rng.choice, max_events, max_strands)
 
 
 def random_diagram(rng: random.Random, **kwargs) -> FrontDiagram:
@@ -64,30 +72,12 @@ def random_knot(rng: random.Random, **kwargs) -> FrontDiagram:
 
 @st.composite
 def front_words(draw, max_events: int = 12, max_strands: int = 6):
-    events: list[FrontEvent] = []
-    n = 0
-    target = draw(st.integers(min_value=2, max_value=max_events))
-    while True:
-        if n == 0:
-            if len(events) >= target:
-                break
-            kind = "L"
-        elif len(events) >= target:
-            kind = "R"
-        else:
-            options = ["X", "R", "R"]
-            if n < max_strands:
-                options += ["L", "L"]
-            kind = draw(st.sampled_from(options))
-        if kind == "L":
-            pos = draw(st.integers(min_value=1, max_value=n + 1))
-            n += 2
-        else:
-            pos = draw(st.integers(min_value=1, max_value=n - 1))
-            if kind == "R":
-                n -= 2
-        events.append(FrontEvent(EventKind(kind), pos))
-    return tuple(events)
+    return _strand_stack_word(
+        lambda lo, hi: draw(st.integers(min_value=lo, max_value=hi)),
+        lambda options: draw(st.sampled_from(options)),
+        max_events,
+        max_strands,
+    )
 
 
 @st.composite

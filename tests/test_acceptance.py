@@ -5,7 +5,6 @@ terminal-summary section by conftest, where pytest's capture cannot eat it)
 and then asserts.
 """
 
-import json
 import math
 import pathlib
 import random

@@ -238,6 +238,16 @@ def test_verify_curve(capsys):
     assert payload["winding"] == 1
 
 
+
+def test_verify_curve_fails_on_a_wrong_winding(capsys, monkeypatch):
+    monkeypatch.setattr(lagsurf.linking, "tangent_winding", lambda curve: 0)
+    code, out, _ = run(capsys, "verify", "curve")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["winding"] == 0
+    assert payload["reports"][0]["passed"] is True
+
 def test_verify_strip_and_convergence(capsys):
     code, out, _ = run(capsys, "verify", "strip", "--a", "0.5", "--grid", "32")
     assert code == 0

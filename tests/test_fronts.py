@@ -7,7 +7,6 @@ import helpers
 from lagsurf.fronts import (
     EventKind,
     FrontDiagram,
-    FrontError,
     FrontEvent,
     MultiComponentInput,
     NegativeStrandCount,

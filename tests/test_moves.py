@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 
 import helpers
 import lagsurf.moves

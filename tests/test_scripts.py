@@ -1,0 +1,52 @@
+"""The maintenance scripts, run in-process on small inputs."""
+
+import importlib.util
+import pathlib
+
+from lagsurf.dsl import parse_front
+from lagsurf.render import render_svg
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_regenerate_table(capsys):
+    code = load_script("regenerate_table").run(["--min-chi", "-3", "--deep-check", "-4"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines() == [
+        "chi   0: -4",
+        "chi  -1: -6 -2",
+        "chi  -2: -8 -4 0",
+        "chi  -3: -10 -6 -2 2",
+    ]
+    assert captured.err.splitlines() == [
+        "replayed 10 witnesses",
+        "closure matches the classifier to chi -4 (15 nodes)",
+    ]
+
+
+def test_regenerate_table_reports_a_bad_witness(capsys, monkeypatch):
+    script = load_script("regenerate_table")
+    monkeypatch.setattr(script, "euler_number", lambda surface: 99)
+    code = script.run(["--min-chi", "-1", "--deep-check", "-1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: witness for (chi, e) = (0, -4) replays to (0, 99)")
+
+
+def test_render_corpus(tmp_path, capsys):
+    code = load_script("render_corpus").run(["--out-dir", str(tmp_path)])
+    assert code == 0
+    paths = sorted((ROOT / "corpus").glob("*.front"))
+    assert len(list(tmp_path.glob("*.svg"))) == len(paths) == 20
+    for path in paths:
+        doc = parse_front(path.read_text())
+        svg = (tmp_path / f"{doc.name}.svg").read_text()
+        assert svg == render_svg(doc.to_diagram())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lagsurf.classify import InvalidSurface, massey_set
 from lagsurf.fronts import FrontDiagram
 from lagsurf.moves import equivalent_within
 from lagsurf.surfaces import (
@@ -316,6 +317,23 @@ def test_disk_bundle_validation():
     with pytest.raises(ValueError):
         DiskBundle(2, 0)
 
+
+
+@pytest.mark.parametrize("orientable", [True, False])
+@pytest.mark.parametrize("chi", range(-6, 5))
+def test_one_closed_surface_rule(chi, orientable):
+    builders = [
+        lambda: DiskBundle(chi, 0, orientable),
+        lambda: SurfaceComplex(chi, orientable, FrontDiagram(())),
+        lambda: massey_set(chi, orientable),
+    ]
+    exists = chi <= 2 and chi % 2 == 0 if orientable else chi <= 1
+    for build in builders:
+        if exists:
+            build()
+        else:
+            with pytest.raises(InvalidSurface):
+                build()
 
 # -- random assembly bookkeeping ---------------------------------------------
 
