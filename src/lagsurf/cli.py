@@ -25,8 +25,10 @@ from .fronts import FrontDiagram, FrontError, word
 from .moves import MoveDirection, MoveId, MoveInstance, apply_move, applicable_moves, equivalent_within
 from .render import render_svg
 from .surfaces import (
+    _PIECE_RECIPES,
     SurfaceComplex,
     SurfaceError,
+    _build_piece,
     cone_cap,
     euler_number,
     genus_chain,
@@ -36,7 +38,6 @@ from .surfaces import (
     mobius_smoothing,
     one_handle,
     split_cone,
-    standard_pieces,
 )
 from .table import ClosureMismatch, Rule, derive_table, verify_closure
 
@@ -172,12 +173,11 @@ def run_surface_script(text: str) -> SurfaceComplex:
                 elif verb == "genus":
                     surface = genus_chain(_script_int(rest[0], lineno))
                 else:
-                    pieces = standard_pieces()
-                    if rest[0] not in pieces:
+                    if rest[0] not in _PIECE_RECIPES:
                         raise ValueError(
-                            f"unknown piece {rest[0]!r}; have {sorted(pieces)}"
+                            f"unknown piece {rest[0]!r}; have {sorted(_PIECE_RECIPES)}"
                         )
-                    surface = pieces[rest[0]]
+                    surface = _build_piece(*_PIECE_RECIPES[rest[0]])
                 continue
             if surface is None:
                 raise ValueError("script must start with klein, genus, or piece")

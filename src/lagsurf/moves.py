@@ -48,27 +48,44 @@ rewrite cannot change how an untouched cusp is traversed.
 Internal coding
 ---------------
 
-Slide-only computations (slide closures, canonical keys, the keys of the
-equivalence search, and the one breadth-first slide search behind slide
-paths and cusp alignment) run on words coded as tuples of ints, one
+Slide computations run on words coded as tuples of ints, one
 ``rank(kind) << 32 | (pos + 2**31)`` per event, with ranks ``L < R < X``
 as the kinds' string values compare.  For positions of magnitude below
 ``2**31`` the code is strictly monotone in ``(kind, pos)``, so coded words
-sort, take minima and fill heaps exactly as :class:`FrontEvent` words do:
-every cap, key and witness is the same, only hashing and comparing are
-cheaper.  Slides on codes come from a memo of :func:`commute_pair`, the one
-definition of a slide.  Words are decoded only where the pattern moves act
-on them and for the public return values.
+sort and take minima exactly as :class:`FrontEvent` words do.  Slides on
+codes come from a memo of :func:`commute_pair`, the one definition of a
+slide.  Words are decoded only where the pattern moves act on them and for
+the public return values.
+
+A slide class is a trace (Cartier--Foata): whether two events commute
+depends only on which two events they are, and the class is the set of
+linear extensions of the order their non-commuting pairs generate.  No
+class is ever listed:
+
+* **Heads and ideals.**  An event can come first iff it slides past every
+  event before it; its code there is its *front code*.  An ideal is a set
+  of events that slides can bring to the front together.
+* **Keys.**  The least word of a class takes, place by place, the least
+  front code of any event that can come next (Anisimov--Knuth).  Ties are
+  followed level by level, one state per set of events placed.  The key is
+  the search's memoization key and :func:`canonical_word`.
+* **Expansion.**  A search node applies its pattern moves only to the
+  words ``key(I) + window + key(rest)`` of each ideal ``I``, which hold the
+  least producer of every child class.
+* **Paths.**  The keys match the events of two words of one class; the
+  slide path sorts one word into the other, always at the least index out
+  of order, which is the path a breadth-first search finds first.  Cusp
+  alignment picks, over the ideals after which the merge and then the birth
+  can come next, the aligned word with the shortest such path.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from lagsurf.fronts import (
     EventKind,
@@ -397,12 +414,8 @@ def applicable_moves(diagram: FrontDiagram) -> list[MoveInstance]:
 
 
 # ---------------------------------------------------------------------------
-# bounded equivalence search
+# slide classes as traces
 # ---------------------------------------------------------------------------
-
-_SLIDE_CAP = 2048
-_NODE_CAP = 8192
-_ALIGN_CAP = 4096
 
 # Event codes (see "Internal coding" above): rank << 32 | (pos + _POS_BIAS).
 Coded = tuple[int, ...]
@@ -435,74 +448,123 @@ def _commute_codes(a: int, b: int) -> Optional[Coded]:
     return None if swapped is None else _encode(swapped)
 
 
-def _slide_neighbors(codes: Coded) -> Iterator[tuple[int, Coded]]:
-    for i in range(len(codes) - 1):
-        swapped = _commute_codes(codes[i], codes[i + 1])
-        if swapped is not None:
-            yield i, codes[:i] + swapped + codes[i + 2 :]
+def _heads(codes: Coded) -> Iterator[tuple[int, int, Coded]]:
+    """Each event that slides can bring to the front of ``codes``.
 
-
-def _slide_closure(codes: Coded, cap: int = _SLIDE_CAP) -> set[Coded]:
-    """All coded words reachable by slides alone (deterministic, capped)."""
-    seen = {codes}
-    heap = [codes]
-    while heap and len(seen) < cap:
-        current = heapq.heappop(heap)
-        for _, nxt in _slide_neighbors(current):
-            if nxt not in seen:
-                seen.add(nxt)
-                heapq.heappush(heap, nxt)
-    return seen
-
-
-def canonical_word(events: Word, cap: int = _SLIDE_CAP) -> Word:
-    """Lex-least word in the slide class (the BFS memoization key)."""
-    return _decode(min(_slide_closure(_encode(events), cap)))
-
-
-def _slide_search(
-    start: Coded,
-    marks: tuple[int, ...],
-    found: Callable[[Coded, tuple[int, ...]], bool],
-    cap: int,
-) -> Optional[tuple[Coded, tuple[int, ...], list[int]]]:
-    """Breadth-first search of the slide class of ``start`` for a ``found`` state.
-
-    A state is a coded word with ``marks``, event indices that follow their
-    events as slides move them.  Returns the first state in breadth-first
-    order for which ``found(word, marks)`` holds, with the indices of the
-    slides that reach it, or ``None``.  States are tested when discovered,
-    and expansion stops once ``cap`` states are seen.
+    Yields its index, its code at the front and the other events after it,
+    in order.  An event can come first iff it slides past every event
+    before it, one at a time.
     """
-    first = (start, marks)
-    if found(*first):
-        return start, marks, []
-    parent: dict[tuple[Coded, tuple[int, ...]], tuple] = {first: ()}
-    queue = deque([first])
-    while queue and len(parent) < cap:
-        state = queue.popleft()
-        for i, nxt in _slide_neighbors(state[0]):
-            moved = tuple(i + 1 if m == i else i if m == i + 1 else m for m in state[1])
-            child = (nxt, moved)
-            if child in parent:
-                continue
-            parent[child] = (state, i)
-            if found(nxt, moved):
-                indices = []
-                while parent[child]:
-                    child, index = parent[child]
-                    indices.append(index)
-                return nxt, moved, indices[::-1]
-            queue.append(child)
-    return None
+    for k, code in enumerate(codes):
+        passed = []
+        for j in range(k - 1, -1, -1):
+            swapped = _commute_codes(codes[j], code)
+            if swapped is None:
+                break
+            code, moved = swapped
+            passed.append(moved)
+        else:
+            yield k, code, tuple(reversed(passed)) + codes[k + 1 :]
 
 
-def _slide_path(start: Coded, goal: Coded, cap: int = _SLIDE_CAP) -> list[MoveInstance]:
-    """Slide sequence from ``start`` to ``goal`` (same slide class)."""
-    hit = _slide_search(start, (), lambda codes, _: codes == goal, cap)
-    if hit is None:
-        raise FrontError("slide path not found within cap")
-    return [MoveInstance(MoveId.SLIDE, (i, 0), FORWARD) for i in hit[2]]
+def _trace_key(codes: Coded) -> tuple[Coded, tuple[int, ...]]:
+    """The least word of the slide class of ``codes`` and its events.
+
+    ``order[t]`` is the index in ``codes`` of the event at place ``t`` of
+    the key.  The key is built one place at a time from the least front
+    code of any event that can come next.  Where events tie on that code,
+    every way of placing them is kept, one state per set of events placed,
+    so ties cost the number of such sets and never a branch per path.
+    """
+    key: list[int] = []
+    # indices of the events still to place -> (order so far, word of the rest)
+    states = {tuple(range(len(codes))): ((), codes)}
+    for _ in codes:
+        best = None
+        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], Coded]] = {}
+        for left, (order, rest) in states.items():
+            for k, front, after in _heads(rest):
+                if best is None or front < best:
+                    best, nxt = front, {}
+                if front == best:
+                    nxt.setdefault(left[:k] + left[k + 1 :], (order + (left[k],), after))
+        key.append(best)
+        states = nxt
+    ((order, _),) = states.values()
+    return tuple(key), order
+
+
+def canonical_word(events: Word) -> Word:
+    """Lex-least word in the slide class (the search's memoization key)."""
+    return _decode(_trace_key(_encode(events))[0])
+
+
+def _ideals(codes: Coded) -> dict[int, tuple[Coded, Coded, list[tuple[int, int]]]]:
+    """Every set of events that slides can bring to the front together.
+
+    Keyed by the bit mask of the events' indices in ``codes``, smallest
+    sets first.  Each ideal has a word of its events as slides leave them
+    at the front, a word of the other events after them, and its heads:
+    ``(event, front code)`` for each event that can come next.
+    """
+    ideals = {}
+    level = {0: ((), codes, tuple(range(len(codes))))}
+    while level:
+        nxt: dict[int, tuple[Coded, Coded, tuple[int, ...]]] = {}
+        for mask, (prefix, rest, ids) in level.items():
+            heads = []
+            for k, front, after in _heads(rest):
+                heads.append((ids[k], front))
+                child = mask | 1 << ids[k]
+                if child not in nxt:
+                    nxt[child] = (prefix + (front,), after, ids[:k] + ids[k + 1 :])
+            ideals[mask] = (prefix, rest, heads)
+        level = nxt
+    return ideals
+
+
+def _sort_slides(codes: Coded, places: list[int]) -> tuple[list[int], Coded]:
+    """Slide the events of ``codes`` into the order ``places`` gives them.
+
+    ``places[k]`` is where the event at index ``k`` should end up.  Each
+    slide is at the least index whose pair is out of order, so the indices
+    form the lex-least of the shortest slide sequences.  Returns them and
+    the word reached; raises :class:`FrontError` when two events that must
+    cross do not commute.
+    """
+    codes, places = list(codes), list(places)
+    path: list[int] = []
+    i = 0
+    while i < len(codes) - 1:
+        if places[i] < places[i + 1]:
+            i += 1
+            continue
+        swapped = _commute_codes(codes[i], codes[i + 1])
+        if swapped is None:
+            raise FrontError("the order is not reachable by slides")
+        codes[i : i + 2] = swapped
+        places[i], places[i + 1] = places[i + 1], places[i]
+        path.append(i)
+        i = max(i - 1, 0)
+    return path, tuple(codes)
+
+
+def _slide_path(start: Coded, goal: Coded) -> list[MoveInstance]:
+    """The shortest slide sequence from ``start`` to ``goal``, lex-least by index.
+
+    Events are matched between the two words through their keys.
+    """
+    key, order = _trace_key(start)
+    goal_key, goal_order = _trace_key(goal)
+    if key != goal_key:
+        raise FrontError("words are not slide-equivalent")
+    places = [0] * len(start)
+    for event, place in zip(order, goal_order):
+        places[event] = place
+    path, reached = _sort_slides(start, places)
+    if reached != goal:
+        raise FrontError("slides do not reach the goal word")
+    return [MoveInstance(MoveId.SLIDE, (i, 0), FORWARD) for i in path]
 
 
 def align_facing_cusps(
@@ -511,19 +573,41 @@ def align_facing_cusps(
     """Slide a word until the given merge sits just before the given birth.
 
     Returns the rewritten word and the index of the merge event, which is
-    then directly followed by the birth at the same height, or ``None`` when
-    no slide sequence within the first ``_ALIGN_CAP`` states aligns them.
+    then directly followed by the birth at the same height, or ``None``
+    when no slides align them.  The merge can sit just before the birth
+    after an ideal iff it can come next and the birth right after it; of
+    the words so aligned the one with the fewest slides from ``events`` is
+    returned, ties going to the lex-least slide sequence.
     """
-
-    def facing(codes: Coded, marks: tuple[int, ...]) -> bool:
-        r, l = marks
-        return l == r + 1 and _decode_event(codes[r]).pos == _decode_event(codes[l]).pos
-
-    hit = _slide_search(_encode(events), (right_index, left_index), facing, _ALIGN_CAP)
-    if hit is None:
+    codes = _encode(events)
+    ideals = _ideals(codes)
+    candidates = []
+    for mask, (prefix, _, heads) in ideals.items():
+        code = dict(heads).get(right_index)
+        if code is None:
+            continue
+        after_code = dict(ideals[mask | 1 << right_index][2]).get(left_index)
+        if after_code is None or (after_code ^ code) & _POS_MASK:
+            continue
+        inside = [e for e in range(len(codes)) if mask >> e & 1]
+        outside = [
+            e for e in range(len(codes))
+            if not mask >> e & 1 and e not in (right_index, left_index)
+        ]
+        order = inside + [right_index, left_index] + outside
+        path, word = _sort_slides(codes, [order.index(e) for e in range(len(codes))])
+        candidates.append((len(path), path, word, len(prefix)))
+    if not candidates:
         return None
-    codes, (r, _), _ = hit
-    return _decode(codes), r
+    _, _, word, j = min(candidates)
+    return _decode(word), j
+
+
+# ---------------------------------------------------------------------------
+# bounded equivalence search
+# ---------------------------------------------------------------------------
+
+_NODE_CAP = 8192
 
 
 def _pattern_moves(diagram_word: Word) -> list[MoveInstance]:
@@ -532,6 +616,44 @@ def _pattern_moves(diagram_word: Word) -> list[MoveInstance]:
         for m in applicable_moves(FrontDiagram(diagram_word))
         if m.move_id is not MoveId.SLIDE
     ]
+
+
+def _expansion(codes: Coded) -> list[tuple[Coded, MoveInstance]]:
+    """The ``(word, pattern move)`` pairs a search node expands, sorted.
+
+    A move at site ``i`` of a word of the class acts on a window that
+    follows an ideal ``I`` of ``i`` events: no events (a kink insertion),
+    one head, or three heads in a row whose middle one is a crossing (every
+    3-event pattern).  The word ``key(I) + window + key(rest)`` carries the
+    same move to the same child class and is no greater, so these words
+    with their moves at site ``|I|`` hold the least producer of every child
+    class of the full expansion.
+    """
+    ideals = _ideals(codes)
+    keys = {
+        mask: (_trace_key(prefix)[0], _trace_key(rest)[0])
+        for mask, (prefix, rest, _) in ideals.items()
+    }
+    moves: dict[Coded, list[MoveInstance]] = {}
+    pairs = []
+    for mask, (prefix, _, heads) in ideals.items():
+        head_key, rest_key = keys[mask]
+        windows = {head_key + rest_key}
+        for first, first_code in heads:
+            one = mask | 1 << first
+            windows.add(head_key + (first_code,) + keys[one][1])
+            for middle, middle_code in ideals[one][2]:
+                if _KINDS[middle_code >> 32] is not X:
+                    continue
+                two = one | 1 << middle
+                for last, last_code in ideals[two][2]:
+                    window = (first_code, middle_code, last_code)
+                    windows.add(head_key + window + keys[two | 1 << last][1])
+        for concrete in windows:
+            if concrete not in moves:
+                moves[concrete] = _pattern_moves(_decode(concrete))
+            pairs += [(concrete, m) for m in moves[concrete] if m.site[0] == len(prefix)]
+    return sorted(pairs)
 
 
 def _invariant_key(diagram: FrontDiagram):
@@ -563,7 +685,6 @@ def equivalent_within(
     g: FrontDiagram,
     depth: int = 6,
     *,
-    slide_cap: int = _SLIDE_CAP,
     node_cap: int = _NODE_CAP,
 ) -> Optional[list[MoveInstance]]:
     """Search for a move sequence turning ``f``'s word into ``g``'s.
@@ -574,25 +695,39 @@ def equivalent_within(
     ``None`` when no witness was found -- never a claim of inequivalence,
     though invariant mismatches short-circuit to ``None`` immediately.
     Raises :class:`WitnessReplayError` if a found witness fails its replay.
+    Each call logs its outcome at debug level on ``lagsurf.moves``.
     """
+    sides: list[dict[Coded, _Node]] = [{}, {}]
+    depths = [0, 0]
+    keys_made = 0
+
+    def outcome(reason: str, result: Optional[list[MoveInstance]]):
+        # Importing logging costs a cold CLI start about 10 ms; a process
+        # that never imported it has no handler the record could reach.
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            logging.getLogger(__name__).debug(
+                "equivalent_within: %s; nodes %d + %d; depth %d + %d; %d keys",
+                reason, len(sides[0]), len(sides[1]), depths[0], depths[1], keys_made,
+            )
+        return result
+
     if _invariant_key(f) != _invariant_key(g):
-        return None
+        return outcome("invariants differ", None)
 
     start, goal = _encode(f.events), _encode(g.events)
 
     def finish(witness: list[MoveInstance]) -> list[MoveInstance]:
         if replay_moves(f.events, witness) != g.events:
             raise WitnessReplayError("witness replay failed")
-        return witness
+        return outcome("found", witness)
 
-    start_key = min(_slide_closure(start, slide_cap))
-    goal_key = min(_slide_closure(goal, slide_cap))
-    sides: list[dict[Coded, _Node]] = [
-        {start_key: _Node(start, None, None, None, 0)},
-        {goal_key: _Node(goal, None, None, None, 0)},
-    ]
+    start_key = _trace_key(start)[0]
+    goal_key = _trace_key(goal)[0]
+    keys_made = 2
+    sides[0][start_key] = _Node(start, None, None, None, 0)
+    sides[1][goal_key] = _Node(goal, None, None, None, 0)
     frontiers: list[list[Coded]] = [[start_key], [goal_key]]
-    depths = [0, 0]
 
     def build_witness(meet: Coded) -> list[MoveInstance]:
         # f side: replay the chain root -> meet, sliding into position first
@@ -606,26 +741,22 @@ def equivalent_within(
         witness: list[MoveInstance] = []
         current = start
         for node in chain:
-            witness += _slide_path(current, node.via_concrete, slide_cap)
+            witness += _slide_path(current, node.via_concrete)
             witness.append(node.move)
             current = node.word
         # g side: walk meet -> root, undoing each recorded move
         key = meet
         while sides[1][key].move is not None:
             node = sides[1][key]
-            witness += _slide_path(current, node.word, slide_cap)
+            witness += _slide_path(current, node.word)
             witness.append(inverse_move(node.move))
             current = node.via_concrete
             key = node.parent
-        witness += _slide_path(current, goal, slide_cap)
+        witness += _slide_path(current, goal)
         return witness
 
     if start_key == goal_key:
-        try:
-            witness = _slide_path(start, goal, slide_cap)
-        except FrontError:
-            return None  # slide class too large for the cap; keys unreliable
-        return finish(witness)
+        return finish(_slide_path(start, goal))
 
     explored = 2
     while frontiers[0] and frontiers[1] and depths[0] + depths[1] < depth:
@@ -633,28 +764,24 @@ def equivalent_within(
         depths[side] += 1
         new_frontier: list[Coded] = []
         for key in frontiers[side]:
-            node = sides[side][key]
-            for concrete in sorted(_slide_closure(node.word, slide_cap)):
-                concrete_word = _decode(concrete)
-                for move in _pattern_moves(concrete_word):
-                    try:
-                        nxt_word = apply_move_word(concrete_word, move)
-                    except MoveNotApplicable:
-                        continue
-                    nxt = _encode(nxt_word)
-                    nxt_key = min(_slide_closure(nxt, slide_cap))
-                    if nxt_key in sides[side]:
-                        continue
-                    sides[side][nxt_key] = _Node(nxt, key, concrete, move, depths[side])
-                    new_frontier.append(nxt_key)
-                    explored += 1
-                    if nxt_key in sides[1 - side]:
-                        try:
-                            witness = build_witness(nxt_key)
-                        except FrontError:
-                            return None  # truncated closure split a class
-                        return finish(witness)
-                    if explored >= node_cap:
-                        return None
+            child_keys: dict[Coded, Coded] = {}
+            for concrete, move in _expansion(sides[side][key].word):
+                try:
+                    nxt = _encode(apply_move_word(_decode(concrete), move))
+                except MoveNotApplicable:
+                    continue
+                if nxt not in child_keys:
+                    child_keys[nxt] = _trace_key(nxt)[0]
+                    keys_made += 1
+                nxt_key = child_keys[nxt]
+                if nxt_key in sides[side]:
+                    continue
+                sides[side][nxt_key] = _Node(nxt, key, concrete, move, depths[side])
+                new_frontier.append(nxt_key)
+                explored += 1
+                if nxt_key in sides[1 - side]:
+                    return finish(build_witness(nxt_key))
+                if explored >= node_cap:
+                    return outcome("node cap", None)
         frontiers[side] = sorted(new_frontier)
-    return None
+    return outcome("depth exhausted", None)

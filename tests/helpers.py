@@ -16,7 +16,13 @@ from lagsurf.linking import (
     _choose_pole,
     stereographic,
 )
-from lagsurf.moves import commute_pair
+from lagsurf.moves import (
+    MoveId,
+    MoveNotApplicable,
+    applicable_moves,
+    apply_move_word,
+    commute_pair,
+)
 
 
 def _strand_stack_word(integer, choice, max_events: int, max_strands: int):
@@ -99,8 +105,7 @@ def reference_slide_closure(
     """Slide relatives of a word by a plain heap BFS over ``commute_pair``.
 
     Works on ``FrontEvent`` words throughout and pops the least word first,
-    stopping once ``cap`` words are seen, so a capped class keeps exactly the
-    words the library's closure keeps.
+    stopping once ``cap`` words are seen.
     """
     seen = {events}
     heap = [events]
@@ -115,6 +120,89 @@ def reference_slide_closure(
                 seen.add(nxt)
                 heapq.heappush(heap, nxt)
     return seen
+
+
+def reference_slide_path(
+    start: tuple[FrontEvent, ...], goal: tuple[FrontEvent, ...]
+) -> list[int]:
+    """Slide indices from ``start`` to ``goal`` by a plain breadth-first search.
+
+    Neighbours are tried in index order and each word is kept with the first
+    path that reaches it, so the path is the lex-least of the shortest ones.
+    """
+    paths = {start: []}
+    frontier = [start]
+    while goal not in paths:
+        if not frontier:
+            raise ValueError("goal is not a slide relative of start")
+        reached = []
+        for current in frontier:
+            for i in range(len(current) - 1):
+                swapped = commute_pair(current[i], current[i + 1])
+                if swapped is None:
+                    continue
+                nxt = current[:i] + swapped + current[i + 2 :]
+                if nxt not in paths:
+                    paths[nxt] = paths[current] + [i]
+                    reached.append(nxt)
+        frontier = reached
+    return paths[goal]
+
+
+def reference_child_producers(events: tuple[FrontEvent, ...]) -> dict:
+    """Each class one pattern move from the class of ``events``, by full expansion.
+
+    Every word of the class takes every pattern move, in sorted order; each
+    child class, keyed by its least word, keeps the first ``(word, move)``
+    that reaches it.  Classes are enumerated whole by a depth-first search
+    over ``commute_pair``, on words of ints that sort as the events do.
+    """
+
+    def encode(word):
+        return tuple(ord(ev.kind.value) << 8 | ev.pos for ev in word)
+
+    def decode(codes):
+        return tuple(FrontEvent(EventKind(chr(c >> 8)), c & 255) for c in codes)
+
+    swaps: dict = {}
+
+    def relatives(start):
+        seen = {start}
+        stack = [start]
+        while stack:
+            current = stack.pop()
+            for i in range(len(current) - 1):
+                pair = current[i : i + 2]
+                if pair not in swaps:
+                    swapped = commute_pair(*decode(pair))
+                    swaps[pair] = None if swapped is None else encode(swapped)
+                if swaps[pair] is not None:
+                    nxt = current[:i] + swaps[pair] + current[i + 2 :]
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+        return seen
+
+    keys: dict = {}
+
+    def key(word):
+        codes = encode(word)
+        if codes not in keys:
+            members = relatives(codes)
+            keys.update(dict.fromkeys(members, decode(min(members))))
+        return keys[codes]
+
+    producers: dict = {}
+    for concrete in sorted(map(decode, relatives(encode(events)))):
+        for move in applicable_moves(FrontDiagram(concrete)):
+            if move.move_id is MoveId.SLIDE:
+                continue
+            try:
+                child = apply_move_word(concrete, move)
+            except MoveNotApplicable:
+                continue
+            producers.setdefault(key(child), (concrete, move))
+    return producers
 
 
 # -- dense all-pairs kernels of ``linking``, kept as references ------------

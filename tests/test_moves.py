@@ -1,22 +1,24 @@
+import logging
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 
 import helpers
 import lagsurf.moves
-from lagsurf.fronts import FrontDiagram, word
+from lagsurf.fronts import FrontDiagram, FrontError, word
 from lagsurf.moves import (
     BACKWARD,
     FORWARD,
-    _SLIDE_CAP,
     MoveId,
     MoveInstance,
     MoveNotApplicable,
     WitnessReplayError,
     _decode,
     _encode,
-    _slide_closure,
+    _expansion,
+    _slide_path,
+    align_facing_cusps,
     applicable_moves,
     apply_move,
     apply_move_word,
@@ -118,8 +120,6 @@ def test_commute_involution(events):
 
 @given(helpers.front_words(max_events=10))
 def test_canonical_word_is_slide_invariant(events):
-    # the canonical key is only well-defined when the class fits under the cap
-    assume(len(_slide_closure(_encode(events))) < _SLIDE_CAP)
     key = canonical_word(events)
     for i in range(len(events) - 1):
         swapped = commute_pair(events[i], events[i + 1])
@@ -166,10 +166,29 @@ def test_equivalence_depth_exhaustion():
     assert equivalent_within(ZIGZAG, z2, depth=0) is None
 
 
-# -- integer-coded slide machinery ------------------------------------------
+def test_equivalence_logs_outcome(caplog):
+    z2 = apply_move(
+        ZIGZAG, MoveInstance(MoveId.R2_LEFT_CUSP_STRAND_BELOW, (1, 1), FORWARD)
+    )
+    calls = [
+        ((TRIVIAL, ZIGZAG, 2), {}, "invariants differ; nodes 0 + 0; depth 0 + 0; 0 keys"),
+        ((ZIGZAG, z2, 0), {}, "depth exhausted; nodes 1 + 1; depth 0 + 0; 2 keys"),
+        ((ZIGZAG, z2, 4), {"node_cap": 3}, "node cap; nodes 2 + 1; depth 1 + 0; 3 keys"),
+        ((ZIGZAG, z2, 2), {}, "found; nodes "),
+    ]
+    for args, kwargs, message in calls:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="lagsurf.moves"):
+            equivalent_within(*args, **kwargs)
+        (record,) = caplog.records
+        assert record.getMessage().startswith(f"equivalent_within: {message}")
 
-# More than _SLIDE_CAP slide relatives; its key differs from that of its
-# slide at index 6, and the coded closure must keep that exact behaviour.
+
+# -- slide classes as traces ---------------------------------------------------
+
+# The capped reference closure of these words stops at REFERENCE_CAP words,
+# and the least word it keeps differs between the two, one slide apart.
+REFERENCE_CAP = 2048
 CAPPED = word("L1 R1 L1 R1 L1 R1 L1 L1 X2 L4 R4 R2 R1")
 CAPPED_SLID = CAPPED[:6] + commute_pair(CAPPED[6], CAPPED[7]) + CAPPED[8:]
 
@@ -194,14 +213,76 @@ def test_event_codes_keep_order(a, b):
 
 @pytest.mark.parametrize("events", seeded_words() + [CAPPED, CAPPED_SLID])
 def test_slide_closure_matches_reference(events):
-    reference = helpers.reference_slide_closure(events, _SLIDE_CAP)
-    closure = {_decode(c) for c in _slide_closure(_encode(events))}
-    assert closure == reference
-    assert canonical_word(events) == min(reference)
+    reference = helpers.reference_slide_closure(events, REFERENCE_CAP)
+    key = canonical_word(events)
+    if len(reference) < REFERENCE_CAP:
+        assert key == min(reference)
+        return
+    # a truncated reference holds the class only in part; CAPPED and
+    # CAPPED_SLID are each other's slide at index 6
+    assert key <= min(reference)
+    for i in range(len(events) - 1):
+        swapped = commute_pair(events[i], events[i + 1])
+        if swapped is not None:
+            assert canonical_word(events[:i] + swapped + events[i + 2 :]) == key
 
 
-# Depth-2 ladder witnesses, pinned move for move: coding the words must not
-# change which witness the search finds.
+def test_key_of_wide_class():
+    # ten unknots side by side: every birth can come before every death
+    assert canonical_word(word("L1 R1 " * 10)) == word("L1 " * 10 + "R1 " * 10)
+    three = word("L1 R1 " * 3)
+    assert canonical_word(three) == min(helpers.reference_slide_closure(three))
+
+
+@pytest.mark.parametrize("events", [w for w in seeded_words() if len(w) <= 8])
+def test_ideal_expansion_matches_full_expansion(events):
+    expected = helpers.reference_child_producers(events)
+    found: dict = {}
+    for concrete, move in _expansion(_encode(events)):
+        try:
+            child = apply_move_word(_decode(concrete), move)
+        except MoveNotApplicable:
+            continue
+        found.setdefault(canonical_word(child), (_decode(concrete), move))
+    assert found == expected
+
+
+@pytest.mark.parametrize("events", seeded_words())
+def test_slide_path_matches_reference(events):
+    reference = helpers.reference_slide_closure(events, REFERENCE_CAP)
+    for goal in random.Random(len(events)).sample(sorted(reference), min(4, len(reference))):
+        path = _slide_path(_encode(events), _encode(goal))
+        assert replay_moves(events, path) == goal
+        if len(reference) < REFERENCE_CAP:
+            assert [m.site[0] for m in path] == helpers.reference_slide_path(events, goal)
+
+
+def test_slide_path_crosses_capped_class():
+    path = _slide_path(_encode(CAPPED), _encode(CAPPED_SLID))
+    assert replay_moves(CAPPED, path) == CAPPED_SLID
+    assert len(path) == 1
+    path = _slide_path(_encode(CAPPED), _encode(canonical_word(CAPPED)))
+    assert replay_moves(CAPPED, path) == canonical_word(CAPPED)
+
+
+def test_slide_path_rejects_other_classes():
+    with pytest.raises(FrontError):
+        _slide_path(_encode(word("L1 L1 R2 R1")), _encode(word("L1 L3 R3 R1")))
+
+
+def test_align_facing_cusps_needs_no_cap():
+    # a breadth-first slide search gave up on this pair after 4096 states
+    events = word("L1 L2 L1 R2 L1 R5 L2 L3 R1 R2 R1 R1")
+    aligned, j = align_facing_cusps(events, 10, 0)
+    assert aligned == word("L1 L2 L3 R4 R3 L3 L4 L3 R4 R5 R1 R1")
+    assert j == 4
+    assert canonical_word(aligned) == canonical_word(events)
+    # 26 slides apart, as helpers.reference_slide_path finds in a few seconds
+    assert len(_slide_path(_encode(events), _encode(aligned))) == 26
+
+
+# Depth-2 ladder witnesses, pinned move for move: neither coding the words nor
+# expanding each class once per ideal may change which witness is found.
 PINNED_WITNESSES = [
     ("L1 L1 R2 R1", "L1 L2 X1 X2 R2 R1", ["r2_left_cusp_strand_below@1:1:forward"]),
     ("L1 L1 R2 R1", "L1 L1 L2 X1 R2 R2 R1", ["r1_kink_below@2:1:forward"]),
