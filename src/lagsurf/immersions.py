@@ -61,7 +61,14 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class ImmersionFamily:
-    """A two-parameter map into real 4-space with a named singular locus."""
+    """A two-parameter map into real 4-space with a named singular locus.
+
+    ``evaluator(first, second)`` takes any two arrays that broadcast against
+    each other, such as a column of first parameters and a row of second
+    ones, and returns the points of the broadcast shape with a trailing axis
+    of 4.  Residual sweeps pass a column and a row, so each factor that
+    depends on one parameter is computed once per value of that parameter.
+    """
 
     name: str
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -69,6 +76,7 @@ class ImmersionFamily:
 
 
 def _pack(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    z1, z2 = np.broadcast_arrays(z1, z2)
     return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
 
 
@@ -162,13 +170,16 @@ def pullback_residual(
         raise GridOutsideDomain(
             f"{family.name} family needs the grid clear of its apex at T = 0"
         )
-    # the grid is swept in blocks of rows; the max of block maxima is the max
+    # the grid is swept in blocks of rows; the max of block maxima is the max.
+    # Each block is a column of first values against the row of second ones.
     tile = max(1, _TILE_ELEMENTS // max(len(second), 1))
+    row = second[None, :]
+    row_up, row_down = row + step, row - step
     maxima = []
     for start in range(0, len(first), tile):
-        a, b = np.meshgrid(first[start : start + tile], second, indexing="ij")
-        d1 = (family.evaluator(a + step, b) - family.evaluator(a - step, b)) / (2 * step)
-        d2 = (family.evaluator(a, b + step) - family.evaluator(a, b - step)) / (2 * step)
+        a = first[start : start + tile, None]
+        d1 = (family.evaluator(a + step, row) - family.evaluator(a - step, row)) / (2 * step)
+        d2 = (family.evaluator(a, row_up) - family.evaluator(a, row_down)) / (2 * step)
         maxima.append(np.max(np.abs(symplectic_pairing(d1, d2))))
     residual = np.max(maxima)
     grid = f"{family.name} {len(first)}x{len(second)} step {step:g}"
@@ -190,7 +201,7 @@ def strip_identities(
     half = strip_half_width(a)
     s = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
     t = np.linspace(-half, half, 33)
-    sg, tg = np.meshgrid(s, t, indexing="ij")
+    sg, tg = s[:, None], t[None, :]
 
     deck = np.max(
         np.abs(family.evaluator(sg + math.pi, -tg) - family.evaluator(sg, tg))
@@ -244,7 +255,7 @@ def convergence_to_cone(
         raise ValueError("the annulus must avoid T = 0")
     s = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
     t = np.linspace(t_low, t_high, samples)
-    sg, tg = np.meshgrid(s, t, indexing="ij")
+    sg, tg = s[:, None], t[None, :]
     cone = cone_family()
     reference = cone.evaluator(sg, tg)
 
@@ -268,17 +279,16 @@ def liouville_identity(
     evaluates X at the mapped point; both are polynomial, so the residual is
     zero to round-off.
     """
-    t, u = np.meshgrid(
-        np.linspace(low, high, samples), np.linspace(low, high, samples), indexing="ij"
-    )
+    line = np.linspace(low, high, samples)
+    t, u = line[:, None], line[None, :]
     # exact Jacobian applied to (t, 2u): columns of DF are d/dt and d/du
     pushed = np.stack(
-        [
+        np.broadcast_arrays(
             2 * t * t,
             t * u + 2 * u * t,
             2 * u,
             2 * t**3,
-        ],
+        ),
         axis=-1,
     )
     image = umbrella_family().evaluator(t, u)

@@ -79,6 +79,71 @@ def _row_tiles(rows: int, columns: int):
         yield slice(start, min(start + step, rows))
 
 
+def _convex_hull(points: np.ndarray) -> np.ndarray:
+    """Counter-clockwise vertices of the convex hull of 2-D ``points``.
+
+    Andrew's monotone chain; points on an edge are dropped.  Points on one
+    line give the two ends of the line, or one point twice if they coincide.
+    """
+    ordered = points[np.lexsort((points[:, 1], points[:, 0]))].tolist()
+    if len(ordered) < 3:
+        return np.array(ordered)
+
+    def chain(seq):
+        kept: list = []
+        for x, y in seq:
+            while len(kept) >= 2:
+                (ox, oy), (px, py) = kept[-2], kept[-1]
+                if (px - ox) * (y - oy) - (py - oy) * (x - ox) > 0:
+                    break
+                kept.pop()
+            kept.append((x, y))
+        return kept
+
+    lower, upper = chain(ordered), chain(reversed(ordered))
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def _crossing_scale(da: np.ndarray, db: np.ndarray) -> float:
+    """max |da_i x db_j| over the (x, y) components of every pair of rows.
+
+    For fixed ``da_i`` the cross product is the linear function
+    v -> (-da_i.y, da_i.x) . v of ``v = db_j``, so its largest and smallest
+    values are attained at the vertices of the hull of the ``db_j`` that
+    support that direction and its opposite.  Each direction finds its
+    vertex by binary search over the sorted outward normals of the hull's
+    edges; the vertex and both its neighbours are evaluated, so a direction
+    rounding onto an edge's normal still meets the best one.  Every
+    candidate is the float a dense scan computes, and the two agree unless
+    more than two points tie for the support up to rounding, where the
+    result can fall an ulp or so short.  Rows with a non-finite component
+    are left out, as in :func:`_overlapping_boxes`.
+    """
+    a = da[:, :2][np.isfinite(da[:, :2]).all(1)]
+    b = db[:, :2][np.isfinite(db[:, :2]).all(1)]
+    if a.size == 0 or b.size == 0:
+        return 0.0
+    hull = _convex_hull(b)
+    if len(hull) < 3:
+        candidates = [np.broadcast_to(corner, a.shape) for corner in hull]
+    else:
+        edge = np.roll(hull, -1, axis=0) - hull
+        # The outward normal of a counter-clockwise edge (ex, ey) is (ey, -ex).
+        # Its angle climbs through [-pi, 0] on the lower chain, where ex >= 0,
+        # and [0, pi] on the upper one; 0.0 - ex, not -ex, so that a vertical
+        # edge of the upper chain reads pi, not -pi.
+        normal = np.arctan2(0.0 - edge[:, 0], edge[:, 1])
+        candidates = []
+        for direction in (np.arctan2(a[:, 0], -a[:, 1]), np.arctan2(-a[:, 0], a[:, 1])):
+            vertex = np.searchsorted(normal, direction)
+            candidates += [hull[(vertex + shift) % len(hull)] for shift in (-1, 0, 1)]
+    scale = 0.0
+    for v in candidates:
+        cross = a[:, 0] * v[:, 1] - a[:, 1] * v[:, 0]
+        scale = max(scale, float(np.max(np.abs(cross))))
+    return scale
+
+
 def _overlapping_boxes(lo_a, hi_a, lo_b, hi_b):
     """Yield index arrays ``(i, j)`` of every pair of overlapping closed boxes.
 
@@ -225,18 +290,14 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     Only segment pairs whose (x, y) bounding boxes meet can cross or graze,
     so those pairs alone get the crossing arithmetic.  The boxes are padded
     by a millionth of the widest one, far beyond the 1e-9 grazing tolerance.
-    ``scale`` is still the largest |denom| over every pair.
+    ``scale`` is still the largest |denom| over every pair, found by a hull
+    query in :func:`_crossing_scale`.
     """
     pa, qa = a3, np.roll(a3, -1, axis=0)
     pb, qb = b3, np.roll(b3, -1, axis=0)
     da, db = qa - pa, qb - pb
 
-    scale = 0.0
-    for rows in _row_tiles(len(da), len(db)):
-        denom = (np.multiply.outer(da[rows, 0], db[:, 1])
-                 - np.multiply.outer(da[rows, 1], db[:, 0]))
-        scale = max(scale, float(np.max(np.abs(denom))))
-    scale += 1e-30
+    scale = _crossing_scale(da, db) + 1e-30
 
     lo_a, hi_a = np.minimum(pa, qa)[:, :2], np.maximum(pa, qa)[:, :2]
     lo_b, hi_b = np.minimum(pb, qb)[:, :2], np.maximum(pb, qb)[:, :2]

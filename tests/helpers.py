@@ -10,6 +10,12 @@ import hypothesis.strategies as st
 import numpy as np
 
 from lagsurf.fronts import EventKind, FrontDiagram, FrontEvent
+from lagsurf.immersions import (
+    GridOutsideDomain,
+    ImmersionFamily,
+    VerificationReport,
+    symplectic_pairing,
+)
 from lagsurf.linking import (
     DegenerateProjection,
     SelfIntersectingSamples,
@@ -227,6 +233,12 @@ def reference_require_embedded(curve: np.ndarray) -> None:
         )
 
 
+def reference_crossing_scale(da: np.ndarray, db: np.ndarray) -> float:
+    """The largest |denom| of :func:`reference_planar_crossings`, all pairs at once."""
+    denom = da[:, None, 0] * db[None, :, 1] - da[:, None, 1] * db[None, :, 0]
+    return float(np.max(np.abs(denom)))
+
+
 def reference_planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     """Signed inter-curve crossing sum in the (x, y) view of two 3-space loops.
 
@@ -290,3 +302,37 @@ def reference_gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     cross = np.cross(da[:, None, :], db[None, :, :])
     triple = np.einsum("ijk,ijk->ij", cross, sep)
     return float(np.sum(triple / norm) / (4 * math.pi))
+
+
+# -- the meshgrid residual sweep of ``immersions``, kept as a reference ----
+
+
+def reference_pullback_residual(
+    family: ImmersionFamily,
+    first: np.ndarray,
+    second: np.ndarray,
+    step: float = 1e-4,
+    tolerance: float = 1e-6,
+) -> VerificationReport:
+    """Max |omega(d1 f, d2 f)| over the grid, derivatives by central differences.
+
+    Evaluates the family on full meshgrid blocks of the grid.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    first, second = np.asarray(first, float), np.asarray(second, float)
+    if family.apex_excluded and np.min(np.abs(second)) <= 2 * step:
+        raise GridOutsideDomain(
+            f"{family.name} family needs the grid clear of its apex at T = 0"
+        )
+    # the grid is swept in blocks of rows; the max of block maxima is the max
+    tile = max(1, (1 << 14) // max(len(second), 1))
+    maxima = []
+    for start in range(0, len(first), tile):
+        a, b = np.meshgrid(first[start : start + tile], second, indexing="ij")
+        d1 = (family.evaluator(a + step, b) - family.evaluator(a - step, b)) / (2 * step)
+        d2 = (family.evaluator(a, b + step) - family.evaluator(a, b - step)) / (2 * step)
+        maxima.append(np.max(np.abs(symplectic_pairing(d1, d2))))
+    residual = np.max(maxima)
+    grid = f"{family.name} {len(first)}x{len(second)} step {step:g}"
+    return VerificationReport.from_residual(residual, grid, tolerance)

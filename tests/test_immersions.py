@@ -1,12 +1,15 @@
 """Residual checks for the explicit immersion families."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import reference_pullback_residual
 from lagsurf.immersions import (
+    _TILE_ELEMENTS,
     AOutOfRange,
     GridOutsideDomain,
     VerificationReport,
@@ -62,6 +65,43 @@ def test_cone_pullback_vanishes_off_apex():
 def test_cone_grid_through_apex_is_rejected():
     with pytest.raises(GridOutsideDomain):
         pullback_residual(cone_family(), HALF_TURN, np.linspace(-1.0, 1.0, 9))
+
+
+def sweep_families():
+    """The five swept families, each with the ranges of its two parameters."""
+    sheets = {}
+    for a in (0.1, 0.5, 1.0):
+        half = strip_half_width(a)
+        sheets[f"strip{a:g}"] = (strip_family(a), (0.0, math.pi), (-half, half))
+    sheets["cone"] = (cone_family(), (0.0, math.pi), (0.1, 1.0))
+    sheets["umbrella"] = (umbrella_family(), (-1.0, 1.0), (-1.0, 1.0))
+    return sheets
+
+
+SWEEPS = sweep_families()
+
+
+@pytest.mark.parametrize("rows, columns", [(7, 7), (64, 64), (1023, 1023), (17, 1024), (1024, 5)])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_pullback_matches_the_meshgrid_sweep(name, rows, columns):
+    family, first, second = SWEEPS[name]
+    grid = (family, np.linspace(*first, rows), np.linspace(*second, columns))
+    assert pullback_residual(*grid) == reference_pullback_residual(*grid)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_pullback_evaluates_one_axis_at_a_time(name):
+    family, first, second = SWEEPS[name]
+    sizes = []
+
+    def recording(*args):
+        sizes.extend(np.size(arg) for arg in args)
+        return family.evaluator(*args)
+
+    spy = dataclasses.replace(family, evaluator=recording)
+    report = pullback_residual(spy, np.linspace(*first, 1024), np.linspace(*second, 1024))
+    assert report.passed
+    assert sizes and max(sizes) <= max(_TILE_ELEMENTS // 1024, 1024)
 
 
 @pytest.mark.parametrize("a", [2**0.5, 1.5, 0.0, -0.3])
