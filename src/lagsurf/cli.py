@@ -270,8 +270,8 @@ def _classify(args) -> int:
 
 def _table(args) -> int:
     graph = derive_table(args.min_chi)
-    order = sorted(graph.nodes, key=lambda n: (-n.chi, n.euler))
     if args.format == "json":
+        order = sorted(graph.nodes, key=lambda n: (-n.chi, n.euler))
         _emit_json(
             {
                 "schema": 1,

@@ -17,9 +17,11 @@ exactly the classifier's rationally convex set row by row --
 :class:`ClosureMismatch` on any discrepancy, which would indicate a bug in
 one side or the other.
 
-Every node carries a witness path from the seed (lexicographically least,
-vertical before diagonal); replaying a witness through the surface
-operations reproduces the node's data exactly.
+The closure is computed on integers: per row, the Euler numbers and the
+links from the row above.  The bundles, edges and witness paths are built
+from those rows on first read.  A node's witness path from the seed is its
+lexicographically least (vertical before diagonal); replaying it through the
+surface operations reproduces the node's data exactly.
 """
 
 from __future__ import annotations
@@ -61,17 +63,63 @@ class Edge:
 
 @dataclass(frozen=True)
 class DerivationGraph:
+    """The breadth-first closure down to ``min_chi``, kept as integer rows.
+
+    Row ``i`` is the level chi = -i, for i = 0 .. -min_chi:
+
+    * ``eulers[i]``: the Euler numbers of the row, in witness order;
+    * ``links[i]`` (rows above the last only): one ``(source, target, rule)``
+      per edge into row ``i + 1``, in the order the rules were applied, with
+      ``source`` a position in ``eulers[i]`` and ``target`` one in
+      ``eulers[i + 1]``.
+
+    ``nodes``, ``edges`` and ``witnesses`` are views built on first read, all
+    sharing one :class:`DiskBundle` per node.  Build one with
+    :func:`derive_table`.
+    """
+
     min_chi: int
-    nodes: frozenset[DiskBundle]
-    edges: tuple[Edge, ...]
-    witnesses: dict[DiskBundle, tuple[Rule, ...]]
+    eulers: tuple[tuple[int, ...], ...]
+    links: tuple[tuple[tuple[int, int, Rule], ...], ...]
+
+    @cached_property
+    def _bundles(self) -> tuple[tuple[DiskBundle, ...], ...]:
+        return tuple(
+            tuple(DiskBundle(-i, e) for e in row) for i, row in enumerate(self.eulers)
+        )
+
+    @cached_property
+    def witnesses(self) -> dict[DiskBundle, tuple[Rule, ...]]:
+        """Each node's first witness: its first parent's witness plus the rule."""
+        paths: list[tuple[Rule, ...]] = [()]
+        witnesses = {self._bundles[0][0]: ()}
+        for row_links, children in zip(self.links, self._bundles[1:]):
+            parents = paths
+            paths = []
+            for source, target, rule in row_links:
+                if target == len(paths):
+                    paths.append(parents[source] + (rule,))
+            witnesses.update(zip(children, paths))
+        return witnesses
+
+    @cached_property
+    def nodes(self) -> frozenset[DiskBundle]:
+        # a set built from a dict is sized and filled as one built from the
+        # ``witnesses`` dict, so both iterate in the same order
+        return frozenset(dict.fromkeys(b for row in self._bundles for b in row))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        bundles = self._bundles
+        return tuple(
+            Edge(bundles[i][source], bundles[i + 1][target], rule)
+            for i, row_links in enumerate(self.links)
+            for source, target, rule in row_links
+        )
 
     @cached_property
     def _rows(self) -> dict[int, tuple[int, ...]]:
-        rows: dict[int, list[int]] = {}
-        for n in self.nodes:
-            rows.setdefault(n.chi, []).append(n.euler)
-        return {chi: tuple(sorted(eulers)) for chi, eulers in rows.items()}
+        return {-i: tuple(sorted(row)) for i, row in enumerate(self.eulers)}
 
     @cached_property
     def _outgoing(self) -> dict[DiskBundle, tuple[Edge, ...]]:
@@ -96,26 +144,24 @@ def derive_table(min_chi: int = -5) -> DerivationGraph:
     in increasing witness order; each parent, taken in that order, offers
     vertical before diagonal, so the candidates for the next row arrive in
     increasing order and its nodes are kept in increasing witness order too.
+    A child's position in its row is the order in which it is first reached.
     """
     if min_chi > 0:
         raise ValueError("min_chi must be <= 0")
-    witnesses: dict[DiskBundle, tuple[Rule, ...]] = {SEED: ()}
-    edges: list[Edge] = []
-    frontier = [SEED]
-    for _ in range(0, -min_chi):
-        next_row: dict[DiskBundle, tuple[Rule, ...]] = {}
-        for node in frontier:
-            children = [(Rule.VERTICAL, DiskBundle(node.chi - 1, node.euler - 2))]
-            if -node.euler - node.chi >= 1:
-                children.append(
-                    (Rule.DIAGONAL, DiskBundle(node.chi - 1, node.euler + 2))
-                )
-            for rule, child in children:
-                edges.append(Edge(node, child, rule))
-                next_row.setdefault(child, witnesses[node] + (rule,))
-        witnesses.update(next_row)
-        frontier = list(next_row)
-    return DerivationGraph(min_chi, frozenset(witnesses), tuple(edges), witnesses)
+    eulers = [(SEED.euler,)]
+    links = []
+    for chi in range(0, min_chi, -1):
+        positions: dict[int, int] = {}
+        row_links = []
+        for source, e in enumerate(eulers[-1]):
+            vertical = positions.setdefault(e - 2, len(positions))
+            row_links.append((source, vertical, Rule.VERTICAL))
+            if -e - chi >= 1:
+                diagonal = positions.setdefault(e + 2, len(positions))
+                row_links.append((source, diagonal, Rule.DIAGONAL))
+        eulers.append(tuple(positions))
+        links.append(tuple(row_links))
+    return DerivationGraph(min_chi, tuple(eulers), tuple(links))
 
 
 def replay_witness(path: tuple[Rule, ...]) -> SurfaceComplex:
@@ -148,7 +194,7 @@ def verify_closure(min_chi: int = -12) -> ClosureReport:
                 f"chi={chi}: derived {sorted(derived)}, classifier {sorted(expected)}"
             )
         rows.append((chi, tuple(sorted(expected))))
-    return ClosureReport(min_chi, len(graph.nodes), tuple(rows))
+    return ClosureReport(min_chi, sum(map(len, graph.eulers)), tuple(rows))
 
 
 def orientable_catalog(min_chi: int = -4) -> list[SurfaceComplex]:

@@ -29,6 +29,8 @@ from lagsurf.moves import (
     apply_move_word,
     commute_pair,
 )
+from lagsurf.surfaces import DiskBundle
+from lagsurf.table import SEED, Edge, Rule
 
 
 def _strand_stack_word(integer, choice, max_events: int, max_strands: int):
@@ -336,3 +338,33 @@ def reference_pullback_residual(
     residual = np.max(maxima)
     grid = f"{family.name} {len(first)}x{len(second)} step {step:g}"
     return VerificationReport.from_residual(residual, grid, tolerance)
+
+
+# -- the object-building closure of ``table``, kept as a reference ---------
+
+
+def reference_derive_table(min_chi: int = -5):
+    """Breadth-first closure built on bundles, edges and witness tuples.
+
+    Returns ``(nodes, edges, witnesses)``, the reference for the views of
+    :class:`lagsurf.table.DerivationGraph`.
+    """
+    if min_chi > 0:
+        raise ValueError("min_chi must be <= 0")
+    witnesses: dict[DiskBundle, tuple[Rule, ...]] = {SEED: ()}
+    edges: list[Edge] = []
+    frontier = [SEED]
+    for _ in range(0, -min_chi):
+        next_row: dict[DiskBundle, tuple[Rule, ...]] = {}
+        for node in frontier:
+            children = [(Rule.VERTICAL, DiskBundle(node.chi - 1, node.euler - 2))]
+            if -node.euler - node.chi >= 1:
+                children.append(
+                    (Rule.DIAGONAL, DiskBundle(node.chi - 1, node.euler + 2))
+                )
+            for rule, child in children:
+                edges.append(Edge(node, child, rule))
+                next_row.setdefault(child, witnesses[node] + (rule,))
+        witnesses.update(next_row)
+        frontier = list(next_row)
+    return frozenset(witnesses), tuple(edges), witnesses

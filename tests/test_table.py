@@ -1,6 +1,10 @@
+import tracemalloc
+
 import pytest
 
 import lagsurf.table
+from helpers import reference_derive_table
+from lagsurf.cli import run_surface_script, witness_script
 from lagsurf.surfaces import DiskBundle, euler_number
 from lagsurf.table import (
     SEED,
@@ -87,3 +91,60 @@ def test_indexed_rows_and_edges_match_a_scan():
         assert graph.row(chi) == tuple(sorted(n.euler for n in graph.nodes if n.chi == chi))
     for node in graph.nodes | {DiskBundle(-9, -20)}:
         assert graph.outgoing(node) == tuple(e for e in graph.edges if e.source == node)
+
+
+@pytest.mark.parametrize("min_chi", [0, -1, -5, -40, -200])
+def test_views_match_the_reference_closure(min_chi):
+    nodes, edges, witnesses = reference_derive_table(min_chi)
+    graph = derive_table(min_chi)
+    assert graph.nodes == nodes and list(graph.nodes) == list(nodes)
+    assert graph.edges == edges
+    assert graph.witnesses == witnesses and list(graph.witnesses) == list(witnesses)
+    for chi in range(1, min_chi - 2, -1):
+        assert graph.row(chi) == tuple(sorted(n.euler for n in nodes if n.chi == chi))
+    outgoing: dict[DiskBundle, list] = {}
+    for edge in edges:
+        outgoing.setdefault(edge.source, []).append(edge)
+    for node in nodes | {DiskBundle(min_chi - 1, 2 * min_chi - 6)}:
+        assert graph.outgoing(node) == tuple(outgoing.get(node, ()))
+
+
+def test_witnesses_have_the_closed_form():
+    # the least path takes all its vertical steps first: V^(n - d) D^d with
+    # n = -chi steps, d = (e + 4 + 2n) / 4 of them diagonal
+    graph = derive_table(-200)
+    for node, path in graph.witnesses.items():
+        n = -node.chi
+        d, rest = divmod(node.euler + 4 + 2 * n, 4)
+        assert rest == 0 and 0 <= d <= n
+        assert path == (Rule.VERTICAL,) * (n - d) + (Rule.DIAGONAL,) * d
+    for node, path in derive_table(-40).witnesses.items():
+        surface = run_surface_script("\n".join(witness_script(path)) + "\n")
+        assert (surface.chi, euler_number(surface)) == (node.chi, node.euler)
+
+
+def test_verify_closure_mismatch_names_the_row(monkeypatch):
+    classifier = lagsurf.table.rationally_convex_set
+
+    def dropping(chi, orientable=False):
+        values = classifier(chi, orientable)
+        return values - {max(values)} if chi == -4 else values
+
+    monkeypatch.setattr(lagsurf.table, "rationally_convex_set", dropping)
+    with pytest.raises(ClosureMismatch, match=r"^chi=-4: "):
+        verify_closure(-6)
+
+
+@pytest.mark.parametrize("min_chi", [-12, -200])
+def test_closure_node_count_matches_the_nodes(min_chi):
+    assert verify_closure(min_chi).node_count == len(derive_table(min_chi).nodes)
+
+
+def test_verify_closure_runs_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        verify_closure(-200)
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mib < 8
