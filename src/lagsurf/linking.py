@@ -21,6 +21,7 @@ its winding number.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -44,32 +45,77 @@ _VIEW_SEEDS = (0.0, 0.37, 0.71, 1.13, 1.62, 2.31)
 _TILE_ELEMENTS = 1 << 16
 _CHUNK = 1 << 16
 
+# Offsets on the first three of four cell axes: (0, 0, 0) and the 13
+# lexicographically positive ones.  A probe of a positive row spans offsets
+# -1, 0, +1 on the last axis (39 neighbours); a probe of (0, 0, 0) spans 0
+# and +1 (the sample's own cell and the 40th neighbour).
+_POSITIVE_ROWS = [row for row in itertools.product((-1, 0, 1), repeat=3) if row >= (0, 0, 0)]
+
 
 def _require_embedded(curve: np.ndarray) -> None:
     """Reject sample sets whose non-neighbours collide at sample resolution.
 
-    Only pairs in neighbouring cells of a spatial hash ``threshold`` wide can
-    be closer than ``threshold``; their exact 4-D distances are compared.
+    A self-join on a grid of cells a hair over ``threshold`` wide: a pair
+    closer than ``threshold`` sits in the same cell or in neighbouring ones.
+    Each sample is keyed once and the keys are sorted; every sample probes
+    its own cell and the 40 lexicographically positive neighbour offsets,
+    three consecutive keys along the last axis per probe, and the exact 4-D
+    distances of the pairs found are compared.  A non-finite sample makes
+    the threshold non-finite, and then no pair is compared.
     """
     n = len(curve)
     if n < 8:
         raise SelfIntersectingSamples("too few samples to resolve a closed curve")
     gaps = np.linalg.norm(np.roll(curve, -1, axis=0) - curve, axis=1)
     threshold = 0.5 * float(np.max(gaps))
-    # a hair over threshold / 2, so rounding cannot drop a pair at distance
-    # just under the threshold
-    reach = 0.5 * threshold * (1.0 + 1e-6)
-    for i, j in _overlapping_boxes(curve - reach, curve + reach,
-                                   curve - reach, curve + reach):
-        keep = i < j
-        i, j = i[keep], j[keep]
-        band = np.minimum(j - i, n - (j - i))
-        i, j = i[band > 2], j[band > 2]
-        dist = np.linalg.norm(curve[i] - curve[j], axis=-1)
-        if dist.size and float(np.min(dist)) < threshold:
-            raise SelfIntersectingSamples(
-                "non-adjacent samples closer than half a sample step"
-            )
+    if not math.isfinite(threshold):
+        return
+    origin = curve.min(0)
+    span = float(np.max(curve.max(0) - origin))
+    # a hair over threshold, so rounding cannot put a pair at distance just
+    # under it two cells apart; at most 2**15 cells per axis, so the int64
+    # key of the 4-D grid cannot overflow
+    cell = max(threshold * (1.0 + 1e-6), span / 2.0**15)
+    if not cell > 0:
+        cell = 1.0
+    # one empty cell on each side, so a probe one cell out never wraps
+    coords = np.floor((curve - origin) / cell).astype(np.int64) + 1
+    stride = np.ones(4, dtype=np.int64)
+    for axis in range(2, -1, -1):
+        stride[axis] = stride[axis + 1] * (int(coords[:, axis + 1].max()) + 2)
+    key = coords @ stride
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    following = np.arange(1, len(key) + 1)
+    for offset in _POSITIVE_ROWS:
+        base = key + int(np.dot(offset, stride[:3]))
+        # row (0, 0, 0) takes its own cell from the next sample on, then +1
+        start = following if not any(offset) else np.searchsorted(key, base - 1)
+        stop = np.searchsorted(key, base + 1, side="right")
+        for owner, index in _ranges(start, stop - start):
+            i, j = order[owner], order[index]
+            band = np.abs(i - j)
+            band = np.minimum(band, n - band)
+            i, j = i[band > 2], j[band > 2]
+            dist = np.linalg.norm(curve[i] - curve[j], axis=-1)
+            if dist.size and float(np.min(dist)) < threshold:
+                raise SelfIntersectingSamples(
+                    "non-adjacent samples closer than half a sample step"
+                )
+
+
+def _ranges(start: np.ndarray, count: np.ndarray):
+    """Yield ``(owner, index)`` chunks of every ``start[k] + r``, ``r < count[k]``.
+
+    ``owner`` is the ``k`` each index came from; a chunk holds at most
+    ``_CHUNK`` indices, so memory stays bounded however many there are.
+    """
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for lo_flat in range(0, total, _CHUNK):
+        flat = np.arange(lo_flat, min(lo_flat + _CHUNK, total))
+        owner = np.searchsorted(ends, flat, side="right")
+        yield owner, start[owner] + flat - (ends[owner] - count[owner])
 
 
 def _row_tiles(rows: int, columns: int):
@@ -201,13 +247,8 @@ def _overlapping_boxes(lo_a, hi_a, lo_b, hi_b):
     box_b, key_b = box_b[order], key_b[order]
     start = np.searchsorted(key_b, key_a, side="left")
     count = np.searchsorted(key_b, key_a, side="right") - start
-    ends = np.cumsum(count)
-    total = int(ends[-1]) if ends.size else 0
-    for lo_flat in range(0, total, _CHUNK):
-        flat = np.arange(lo_flat, min(lo_flat + _CHUNK, total))
-        entry = np.searchsorted(ends, flat, side="right")
-        i = box_a[entry]
-        j = box_b[start[entry] + flat - (ends[entry] - count[entry])]
+    for entry, index in _ranges(start, count):
+        i, j = box_a[entry], box_b[index]
         meet = np.all((lo_a[i] <= hi_b[j]) & (lo_b[j] <= hi_a[i]), axis=1)
         corner = np.maximum(first_a[i], first_b[j]) @ stride
         once = meet & (corner == key_a[entry])
@@ -363,7 +404,17 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     """Gauss double-integral route over the stereographic images (unrounded).
 
     Kept independent of :func:`linking_number` so the two can validate each
-    other; midpoint rule over segment pairs.
+    other; midpoint rule over segment pairs.  With midpoints ``m`` and
+    segment vectors ``d``, the triple product of a pair is the rank-6 sum
+
+        (da_i x db_j) . (ma_i - mb_j) = (ma_i x da_i) . db_j - da_i . (db_j x mb_j),
+
+    so each tile is one matrix product: some rows of an (N, 6) factor times
+    a (6, M) one.  Its terms are of size |m| |d|^2 where the triple is of size
+    |sep| |d|^2, so its rounding error, relative to the triple, grows as
+    |m| / |sep|.  The separations ``sep`` in the denominator are taken
+    componentwise, as exact differences.  Raises SelfIntersectingSamples
+    when two midpoints coincide or the sum is not finite.
     """
     pole = _choose_pole((first, second))
     a3 = stereographic(first, pole)
@@ -372,22 +423,27 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     db = np.roll(b3, -1, axis=0) - b3
     ma = a3 + 0.5 * da
     mb = b3 + 0.5 * db
+    left = np.concatenate([np.cross(ma, da), -da], axis=1)
+    right = np.ascontiguousarray(np.concatenate([db, np.cross(db, mb)], axis=1).T)
+    # unit-stride rows for the outer differences below
+    columns = np.ascontiguousarray(mb.T)
     total = 0.0
-    for rows in _row_tiles(len(ma), len(mb)):
-        # sep = ma - mb and triple = (da x db) . sep, one component at a time
-        sx = np.subtract.outer(ma[rows, 0], mb[:, 0])
-        sy = np.subtract.outer(ma[rows, 1], mb[:, 1])
-        sz = np.subtract.outer(ma[rows, 2], mb[:, 2])
-        ax, ay, az = (da[rows, k, None] for k in range(3))
-        bx, by, bz = db[:, 0], db[:, 1], db[:, 2]
-        triple = (ay * bz - az * by) * sx
-        triple += (az * bx - ax * bz) * sy
-        triple += (ax * by - ay * bx) * sz
-        norm = sx * sx
-        norm += sy * sy
-        norm += sz * sz
-        norm **= 1.5
-        total += float(np.sum(triple / norm))
+    with np.errstate(all="ignore"):
+        for rows in _row_tiles(len(ma), len(mb)):
+            # |sep|^3 from sep = ma - mb, one component at a time
+            sep = np.subtract.outer(ma[rows, 0], columns[0])
+            norm = sep * sep
+            for k in (1, 2):
+                np.subtract.outer(ma[rows, k], columns[k], out=sep)
+                sep *= sep
+                norm += sep
+            np.sqrt(norm, out=sep)
+            norm *= sep
+            triple = left[rows] @ right
+            triple /= norm
+            total += float(np.sum(triple))
+    if not math.isfinite(total):
+        raise SelfIntersectingSamples("Gauss sum not finite: the curves' midpoints meet")
     return total / (4 * math.pi)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,10 @@ def assert_kernels_agree(first, second):
     for angle in _VIEW_SEEDS:
         view = _view_rotation(angle)
         assert_same_crossings(a3 @ view.T, b3 @ view.T)
+    assert_same_gauss(first, second)
+
+
+def assert_same_gauss(first, second):
     expected = reference_gauss_linking(first, second)
     assert gauss_linking(first, second) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -206,6 +211,60 @@ def sample_pairs(n):
 @pytest.mark.parametrize("name", ["boundary", "flat", "hopf"])
 def test_kernels_agree_with_dense_references(n, name):
     assert_kernels_agree(*sample_pairs(n)[name])
+
+
+def test_gauss_agrees_on_partial_tiles_and_unequal_lengths():
+    # 1000 columns make tiles of 65 rows with a 25-row tail
+    for name in ("boundary", "flat", "hopf"):
+        assert_same_gauss(*sample_pairs(1000)[name])
+    short, long = sample_pairs(700)["hopf"][0], sample_pairs(1000)["hopf"][1]
+    assert_same_gauss(short, long)
+    assert_same_gauss(long, short)
+
+
+def test_gauss_linking_rejects_meeting_curves():
+    curve = flat_circle()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SelfIntersectingSamples):
+            gauss_linking(curve, curve)
+        with pytest.raises(SelfIntersectingSamples):
+            gauss_linking(curve, curve[::-1].copy())
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+def test_embeddedness_near_the_threshold_agrees(factor):
+    """A non-adjacent pair just inside or outside half the largest step."""
+    rng = np.random.default_rng(11)
+    curve = flat_circle()
+    threshold = 0.5 * float(np.max(np.linalg.norm(np.roll(curve, -1, axis=0) - curve, axis=1)))
+    for _ in range(10):
+        direction = rng.standard_normal(4)
+        moved = curve.copy()
+        moved[N // 2] = [0.3, 0.2, 0.1, 0.05]
+        moved[N // 3] = moved[N // 2] + threshold * factor * direction / np.linalg.norm(direction)
+        assert outcome(_require_embedded, moved) == outcome(reference_require_embedded, moved)
+
+
+@pytest.mark.parametrize("n", [64, 200_000])
+@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+def test_lifted_double_cover_near_the_threshold(n, factor):
+    """A circle traced twice, the second time at height h.
+
+    Samples k and k + n/2 are h apart, and the largest step, from one cover
+    to the other, is 2 h / factor, so h is ``factor`` times the threshold.
+    At n = 200,000 the grid is at its cap of cells per axis, so the cells
+    are wider than the threshold.
+    """
+    s = np.linspace(0.0, 2 * math.pi, n // 2, endpoint=False)
+    cover = np.stack([np.cos(s), np.sin(s), 0 * s, 0 * s], axis=-1)
+    chord = float(np.linalg.norm(cover[0] - cover[-1]))
+    height = factor * chord / math.sqrt(4 - factor**2)
+    curve = np.concatenate([cover, cover + [0.0, 0.0, height, 0.0]])
+    expected = SelfIntersectingSamples if factor < 1 else None
+    assert outcome(_require_embedded, curve) == expected
+    if n <= 64:
+        assert outcome(reference_require_embedded, curve) == expected
 
 
 @settings(max_examples=25)
@@ -338,11 +397,16 @@ def peak_mib(call, *args):
 
 def test_oracles_run_in_bounded_memory():
     pairs = sample_pairs(4096)
-    assert peak_mib(contact_framing, pairs["boundary"][0]) < 128
+    assert peak_mib(contact_framing, pairs["boundary"][0]) < 8
     assert peak_mib(linking_number, *pairs["hopf"]) < 128
-    assert peak_mib(gauss_linking, *pairs["boundary"]) < 128
+    assert peak_mib(gauss_linking, *pairs["boundary"]) < 8
     grid = (cone_family(), np.linspace(0.0, math.pi, 1024), np.linspace(0.1, 1.0, 1024))
     assert peak_mib(pullback_residual, *grid) < 8
+
+
+def test_embeddedness_check_runs_in_bounded_memory():
+    curve = boundary_curve(np.linspace(0.0, 2 * math.pi, 100_000, endpoint=False))
+    assert peak_mib(_require_embedded, curve) < 32
 
 
 def test_overlapping_boxes_match_a_scan():
