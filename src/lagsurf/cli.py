@@ -401,6 +401,19 @@ def _verify(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no less than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagsurf",
@@ -433,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = moves_sub.add_parser("equiv", help="search for a rewrite witness")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_int_at_least(0), default=3)
     p.set_defaults(handler=_moves_equiv)
 
     surface = sub.add_parser("surface", help="run build scripts")
@@ -462,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numeric residual checks")
     p.add_argument("family", choices=("strip", "cone", "umbrella", "curve", "convergence"))
     p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_int_at_least(2), default=64,
+                   help="points per axis for strip, cone and umbrella")
     p.add_argument("--step", type=float, default=1e-4)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--csv", default=None)

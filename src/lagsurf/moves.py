@@ -3,37 +3,40 @@
 Pattern table
 -------------
 
-Three move families act on local windows of a word, each in a ``forward``
-and ``backward`` direction; a fourth, cost-free "slide" commutes adjacent
-events with disjoint footprints (planar isotopy of the picture).  Sites are
-pairs ``(index, pos)`` of an event index and a 1-based strand position.
+Three move families rewrite a window of a word, each in a ``forward`` and a
+``backward`` direction; a fourth, cost-free "slide" commutes adjacent events
+with disjoint footprints (planar isotopy of the picture).  A site
+``(index, p)`` is the index of the window's first event and a strand
+position.  Forward windows, ``.`` for the empty one::
 
-``r1`` (swallowtail) -- insert or delete a kink on the strand at ``pos``::
+    r1_kink_below               .                ->  L p+1, X p, R p+1
+    r1_kink_above               .                ->  L p, X p+1, R p
+    r2_left_cusp_strand_above   L p              ->  L p-1, X p, X p-1
+    r2_left_cusp_strand_below   L p              ->  L p+1, X p, X p+1
+    r2_right_cusp_strand_above  R p              ->  X p-1, X p, R p-1
+    r2_right_cusp_strand_below  R p              ->  X p+1, X p, R p+1
+    r3_triple_point             X p, X p+1, X p  ->  X p+1, X p, X p+1
 
-    kink_below:   [] <-> [L p+1, X p, R p+1]
-    kink_above:   [] <-> [L p,  X p+1, R p ]
+A backward move swaps the two windows, except that backward r3 is forward r3
+reflected top to bottom, every offset negated.  A matched window fixes ``p``:
+the position of its first event less that event's offset.  So an r1 or r2
+move is undone by its other direction at the same site, and the inverse of a
+forward r3 at ``(i, p)`` is the backward r3 at ``(i, p+1)``.
 
-The kink's crossing pairs the old strand with one *new* arc and has sign +1,
-so tb is preserved.  (A kink whose crossing joins the two new arcs to each
-other costs tb and is deliberately not a move.)
+A rewrite applies where ``before`` matches at an index from 0 to
+``len(word) - len(before)`` and each event of ``after`` is valid at the
+strand count ``n`` it meets: ``L q`` needs ``1 <= q <= n+1``, and ``X q`` and
+``R q`` need ``1 <= q <= n-1``.  That one rule inserts kinks on the strands
+``1..n`` and asks a cusp pass for a strand on its side of the cusp.
 
-``r2`` (cusp pass) -- a cusp crosses a transverse strand; ``pos`` is the
-cusp position in the *contracted* form::
+r1 (swallowtail): the kink's crossing pairs the old strand with one *new*
+arc and has sign +1, so tb is preserved.  (A kink whose crossing joins the
+two new arcs to each other costs tb and is deliberately not a move.)
 
-    left_cusp_strand_above:    [L q]  <->  [L q-1, X q,  X q-1]
-    left_cusp_strand_below:    [L q]  <->  [L q+1, X q,  X q+1]
-    right_cusp_strand_above:   [R q]  <->  [X q-1, X q,  R q-1]
-    right_cusp_strand_below:   [R q]  <->  [X q+1, X q,  R q+1]
-
-The two crossings pair the strand with the cusp's two (antiparallel) arcs,
-so their signs cancel.  Forward = expand, backward = contract.
-
-``r3`` (triple point)::
-
-    forward:   [X p, X p+1, X p]  ->  [X p+1, X p, X p+1]
-
-Backward sites use the first crossing's position of *their* pattern, so the
-inverse of a forward r3 at ``(i, p)`` is the backward r3 at ``(i, p+1)``.
+r2 (cusp pass): a cusp crosses a transverse strand, and ``p`` is the cusp's
+position in the contracted form.  The two crossings pair the strand with the
+cusp's two (antiparallel) arcs, so their signs cancel.  Forward expands,
+backward contracts.
 
 Slides swap ``events[i], events[i+1]`` with positions adjusted for the
 other event's strand-count shift; a slide is its own inverse at the same
@@ -124,7 +127,7 @@ class MoveDirection(str, Enum):
 FORWARD, BACKWARD = MoveDirection.FORWARD, MoveDirection.BACKWARD
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MoveInstance:
     """One applicable rewrite: which pattern, where, and which way."""
 
@@ -149,36 +152,79 @@ class WitnessReplayError(FrontError):
     """A search witness does not replay onto the goal word."""
 
 
-_R2_EXPANSIONS = {
-    MoveId.R2_LEFT_CUSP_STRAND_ABOVE: lambda q: ((L, q - 1), (X, q), (X, q - 1)),
-    MoveId.R2_LEFT_CUSP_STRAND_BELOW: lambda q: ((L, q + 1), (X, q), (X, q + 1)),
-    MoveId.R2_RIGHT_CUSP_STRAND_ABOVE: lambda q: ((X, q - 1), (X, q), (R, q - 1)),
-    MoveId.R2_RIGHT_CUSP_STRAND_BELOW: lambda q: ((X, q + 1), (X, q), (R, q + 1)),
-}
-_R2_CUSP_KIND = {
-    MoveId.R2_LEFT_CUSP_STRAND_ABOVE: L,
-    MoveId.R2_LEFT_CUSP_STRAND_BELOW: L,
-    MoveId.R2_RIGHT_CUSP_STRAND_ABOVE: R,
-    MoveId.R2_RIGHT_CUSP_STRAND_BELOW: R,
-}
+# The pattern table: a window is a tuple of ``(kind, offset)`` pairs for the
+# events ``kind p+offset``.  See "Pattern table" above.
+Window = tuple[tuple[EventKind, int], ...]
 
-_R1_WINDOWS = {
-    MoveId.R1_KINK_BELOW: lambda p: ((L, p + 1), (X, p), (R, p + 1)),
-    MoveId.R1_KINK_ABOVE: lambda p: ((L, p), (X, p + 1), (R, p)),
+_FORWARD_WINDOWS: dict[MoveId, tuple[Window, Window]] = {
+    MoveId.R1_KINK_BELOW: ((), ((L, 1), (X, 0), (R, 1))),
+    MoveId.R1_KINK_ABOVE: ((), ((L, 0), (X, 1), (R, 0))),
+    MoveId.R2_LEFT_CUSP_STRAND_ABOVE: (((L, 0),), ((L, -1), (X, 0), (X, -1))),
+    MoveId.R2_LEFT_CUSP_STRAND_BELOW: (((L, 0),), ((L, 1), (X, 0), (X, 1))),
+    MoveId.R2_RIGHT_CUSP_STRAND_ABOVE: (((R, 0),), ((X, -1), (X, 0), (R, -1))),
+    MoveId.R2_RIGHT_CUSP_STRAND_BELOW: (((R, 0),), ((X, 1), (X, 0), (R, 1))),
+    MoveId.R3_TRIPLE_POINT: (((X, 0), (X, 1), (X, 0)), ((X, 1), (X, 0), (X, 1))),
 }
 
+_PATTERNS: dict[tuple[MoveId, MoveDirection], tuple[Window, Window]] = {
+    **{(move_id, FORWARD): pair for move_id, pair in _FORWARD_WINDOWS.items()},
+    **{
+        (move_id, BACKWARD): (after, before)
+        for move_id, (before, after) in _FORWARD_WINDOWS.items()
+    },
+    (MoveId.R3_TRIPLE_POINT, BACKWARD): tuple(
+        tuple((kind, -offset) for kind, offset in window)
+        for window in _FORWARD_WINDOWS[MoveId.R3_TRIPLE_POINT]
+    ),
+}
 
-def _events(*pairs: tuple[EventKind, int]) -> Word:
-    return tuple(FrontEvent(kind, pos) for kind, pos in pairs)
+# Strand-count change across an event of each kind.
+_DELTA = {L: 2, X: 0, R: -2}
 
 
 def _strand_counts(events: Word) -> list[int]:
     """Strand count before each event index (length ``len(events) + 1``)."""
     counts = [0]
-    delta = {L: 2, X: 0, R: -2}
     for ev in events:
-        counts.append(counts[-1] + delta[ev.kind])
+        counts.append(counts[-1] + _DELTA[ev.kind])
     return counts
+
+
+def _matches(events: Word, i: int, p: int, window: Window) -> bool:
+    """Whether the events from index ``i`` on spell ``window`` at ``p``.
+
+    The caller checks that the window fits in ``events`` from ``i``.
+    """
+    for ev, (kind, offset) in zip(events[i : i + len(window)], window):
+        if ev.kind is not kind or ev.pos != p + offset:
+            return False
+    return True
+
+
+def _fits(window: Window, p: int, n: int) -> bool:
+    """Whether ``window`` at ``p`` is a valid run of events after ``n`` strands."""
+    for kind, offset in window:
+        if not 1 <= p + offset <= (n + 1 if kind is L else n - 1):
+            return False
+        n += _DELTA[kind]
+    return True
+
+
+def _moves_at(events: Word, i: int, n: int) -> list[MoveInstance]:
+    """The pattern moves at site index ``i`` of ``events``, with ``n`` strands there."""
+    found = []
+    for (move_id, direction), (before, after) in _PATTERNS.items():
+        if not before:
+            # an insertion's first event can stand at 1..n+1
+            sites = range(1 - after[0][1], n + 2 - after[0][1])
+        elif i + len(before) <= len(events):
+            sites = (events[i].pos - before[0][1],)
+        else:
+            continue
+        for p in sites:
+            if _matches(events, i, p, before) and _fits(after, p, n):
+                found.append(MoveInstance(move_id, (i, p), direction))
+    return found
 
 
 def commute_pair(e1: FrontEvent, e2: FrontEvent) -> Optional[tuple[FrontEvent, FrontEvent]]:
@@ -195,7 +241,7 @@ def commute_pair(e1: FrontEvent, e2: FrontEvent) -> Optional[tuple[FrontEvent, F
     ``(L p+2, R p) <-> (R p, L p)`` and treat the other form as interacting.
     """
     p, q = e1.pos, e2.pos
-    d2 = {L: 2, X: 0, R: -2}[e2.kind]
+    d2 = _DELTA[e2.kind]
     if e1.kind is L:
         if e2.kind is L:
             if q == p + 1:
@@ -237,11 +283,6 @@ def commute_pair(e1: FrontEvent, e2: FrontEvent) -> Optional[tuple[FrontEvent, F
 def apply_move_word(events: Word, move: MoveInstance) -> Word:
     """Apply a move to a bare word; raises MoveNotApplicable on mismatch."""
     i, p = move.site
-    counts = _strand_counts(events)
-
-    def window_is(expected: Word) -> bool:
-        return events[i : i + len(expected)] == expected
-
     if move.move_id is MoveId.SLIDE:
         if not 0 <= i < len(events) - 1:
             raise MoveNotApplicable(f"no adjacent pair at {i}")
@@ -250,59 +291,13 @@ def apply_move_word(events: Word, move: MoveInstance) -> Word:
             raise MoveNotApplicable(f"events at {i} do not commute")
         return events[:i] + swapped + events[i + 2 :]
 
-    if move.move_id in _R1_WINDOWS:
-        window = _events(*_R1_WINDOWS[move.move_id](p))
-        if move.direction is FORWARD:
-            if not 0 <= i <= len(events) or not 1 <= p <= counts[min(i, len(counts) - 1)]:
-                raise MoveNotApplicable(f"no strand {p} at index {i}")
-            return events[:i] + window + events[i:]
-        if not window_is(window):
-            raise MoveNotApplicable(f"no kink window at {i}")
-        return events[:i] + events[i + 3 :]
-
-    if move.move_id in _R2_EXPANSIONS:
-        cusp = FrontEvent(_R2_CUSP_KIND[move.move_id], p)
-        window = _events(*_R2_EXPANSIONS[move.move_id](p))
-        if move.direction is FORWARD:
-            if not (i < len(events) and events[i] == cusp):
-                raise MoveNotApplicable(f"no {cusp} at {i}")
-            n = counts[i]
-            if move.move_id is MoveId.R2_LEFT_CUSP_STRAND_ABOVE and p < 2:
-                raise MoveNotApplicable("no strand above the cusp")
-            if move.move_id is MoveId.R2_LEFT_CUSP_STRAND_BELOW and n < p:
-                raise MoveNotApplicable("no strand below the cusp")
-            if move.move_id is MoveId.R2_RIGHT_CUSP_STRAND_ABOVE and p < 2:
-                raise MoveNotApplicable("no strand above the cusp")
-            if move.move_id is MoveId.R2_RIGHT_CUSP_STRAND_BELOW and n < p + 2:
-                raise MoveNotApplicable("no strand below the cusp")
-            return events[:i] + window + events[i + 1 :]
-        if not window_is(window):
-            raise MoveNotApplicable(f"no cusp-pass window at {i}")
-        return events[:i] + (cusp,) + events[i + 3 :]
-
-    if move.move_id is MoveId.R3_TRIPLE_POINT:
-        if move.direction is FORWARD:
-            window = _events((X, p), (X, p + 1), (X, p))
-            replacement = _events((X, p + 1), (X, p), (X, p + 1))
-        else:
-            window = _events((X, p), (X, p - 1), (X, p))
-            replacement = _events((X, p - 1), (X, p), (X, p - 1))
-        if not window_is(window):
-            raise MoveNotApplicable(f"no triple-point window at {i}")
-        return events[:i] + replacement + events[i + 3 :]
-
-    raise MoveNotApplicable(f"unknown move {move.move_id}")
-
-
-def _window_widths(move: MoveInstance) -> tuple[int, int]:
-    """Event counts the move consumes and produces at its site."""
-    if move.move_id is MoveId.SLIDE:
-        return 2, 2
-    if move.move_id is MoveId.R3_TRIPLE_POINT:
-        return 3, 3
-    if move.move_id in _R1_WINDOWS:
-        return (0, 3) if move.direction is FORWARD else (3, 0)
-    return (1, 3) if move.direction is FORWARD else (3, 1)
+    before, after = _PATTERNS[move.move_id, move.direction]
+    if not (0 <= i <= len(events) - len(before) and _matches(events, i, p, before)):
+        raise MoveNotApplicable(f"no {move.move_id} window at {i}:{p}")
+    if not _fits(after, p, sum(_DELTA[ev.kind] for ev in events[:i])):
+        raise MoveNotApplicable(f"no strands for {move.move_id} at {i}:{p}")
+    window = tuple(FrontEvent(kind, p + offset) for kind, offset in after)
+    return events[:i] + window + events[i + len(before) :]
 
 
 def apply_move(diagram: FrontDiagram, move: MoveInstance) -> FrontDiagram:
@@ -316,7 +311,10 @@ def apply_move(diagram: FrontDiagram, move: MoveInstance) -> FrontDiagram:
     new_events = apply_move_word(diagram.events, move)
     plain = FrontDiagram(new_events)
     start = move.site[0]
-    old_len, new_len = _window_widths(move)
+    if move.move_id is MoveId.SLIDE:
+        old_len = new_len = 2
+    else:
+        old_len, new_len = map(len, _PATTERNS[move.move_id, move.direction])
     new_cusps = {c.event: c for c in plain.cusps()}
     signs = [0] * plain.component_count
     for cusp in diagram.cusps():
@@ -335,15 +333,14 @@ def apply_move(diagram: FrontDiagram, move: MoveInstance) -> FrontDiagram:
 
 def inverse_move(move: MoveInstance) -> MoveInstance:
     """The move undoing ``move`` at the same spot."""
-    i, p = move.site
     if move.move_id is MoveId.SLIDE:
         return move
-    if move.move_id is MoveId.R3_TRIPLE_POINT:
-        if move.direction is FORWARD:
-            return MoveInstance(move.move_id, (i, p + 1), BACKWARD)
-        return MoveInstance(move.move_id, (i, p - 1), FORWARD)
     flipped = BACKWARD if move.direction is FORWARD else FORWARD
-    return MoveInstance(move.move_id, (i, p), flipped)
+    after = _PATTERNS[move.move_id, move.direction][1]
+    undo_before = _PATTERNS[move.move_id, flipped][0]
+    i, p = move.site
+    shift = after[0][1] - undo_before[0][1] if after else 0
+    return MoveInstance(move.move_id, (i, p + shift), flipped)
 
 
 def replay_moves(events: Word, moves: Iterable[MoveInstance]) -> Word:
@@ -353,63 +350,15 @@ def replay_moves(events: Word, moves: Iterable[MoveInstance]) -> Word:
 
 
 def applicable_moves(diagram: FrontDiagram) -> list[MoveInstance]:
-    """Every move instance whose pattern matches the diagram's word.
-
-    Kink insertions are enumerated for every insertion index and strand;
-    expansions, contractions, triple points and slides by window scan.  The
-    list is sorted for determinism.
-    """
+    """Every move instance whose pattern matches the diagram's word, sorted."""
     events = diagram.events
     counts = _strand_counts(events)
     found: list[MoveInstance] = []
-
     for i in range(len(events) + 1):
-        n = counts[i]
-        for p in range(1, n + 1):
-            found.append(MoveInstance(MoveId.R1_KINK_BELOW, (i, p), FORWARD))
-            found.append(MoveInstance(MoveId.R1_KINK_ABOVE, (i, p), FORWARD))
-
-    for i, ev in enumerate(events):
-        n = counts[i]
-        if ev.kind is L:
-            if ev.pos >= 2:
-                found.append(
-                    MoveInstance(MoveId.R2_LEFT_CUSP_STRAND_ABOVE, (i, ev.pos), FORWARD)
-                )
-            if n >= ev.pos:
-                found.append(
-                    MoveInstance(MoveId.R2_LEFT_CUSP_STRAND_BELOW, (i, ev.pos), FORWARD)
-                )
-        elif ev.kind is R:
-            if ev.pos >= 2:
-                found.append(
-                    MoveInstance(MoveId.R2_RIGHT_CUSP_STRAND_ABOVE, (i, ev.pos), FORWARD)
-                )
-            if n >= ev.pos + 2:
-                found.append(
-                    MoveInstance(MoveId.R2_RIGHT_CUSP_STRAND_BELOW, (i, ev.pos), FORWARD)
-                )
-
-    for i in range(len(events) - 2):
-        a, b, c = events[i : i + 3]
-        for move_id, shape in _R1_WINDOWS.items():
-            if (a, b, c) == _events(*shape(b.pos if move_id is MoveId.R1_KINK_BELOW else a.pos)):
-                p = b.pos if move_id is MoveId.R1_KINK_BELOW else a.pos
-                found.append(MoveInstance(move_id, (i, p), BACKWARD))
-        for move_id, shape in _R2_EXPANSIONS.items():
-            # recover the contracted position from the expanded window's middle
-            q = b.pos
-            if (a, b, c) == _events(*shape(q)):
-                found.append(MoveInstance(move_id, (i, q), BACKWARD))
-        if (a, b, c) == _events((X, a.pos), (X, a.pos + 1), (X, a.pos)):
-            found.append(MoveInstance(MoveId.R3_TRIPLE_POINT, (i, a.pos), FORWARD))
-        if (a, b, c) == _events((X, a.pos), (X, a.pos - 1), (X, a.pos)):
-            found.append(MoveInstance(MoveId.R3_TRIPLE_POINT, (i, a.pos), BACKWARD))
-
+        found += _moves_at(events, i, counts[i])
     for i in range(len(events) - 1):
         if commute_pair(events[i], events[i + 1]) is not None:
             found.append(MoveInstance(MoveId.SLIDE, (i, 0), FORWARD))
-
     return sorted(found)
 
 
@@ -610,14 +559,6 @@ def align_facing_cusps(
 _NODE_CAP = 8192
 
 
-def _pattern_moves(diagram_word: Word) -> list[MoveInstance]:
-    return [
-        m
-        for m in applicable_moves(FrontDiagram(diagram_word))
-        if m.move_id is not MoveId.SLIDE
-    ]
-
-
 def _expansion(codes: Coded) -> list[tuple[Coded, MoveInstance]]:
     """The ``(word, pattern move)`` pairs a search node expands, sorted.
 
@@ -634,7 +575,6 @@ def _expansion(codes: Coded) -> list[tuple[Coded, MoveInstance]]:
         mask: (_trace_key(prefix)[0], _trace_key(rest)[0])
         for mask, (prefix, rest, _) in ideals.items()
     }
-    moves: dict[Coded, list[MoveInstance]] = {}
     pairs = []
     for mask, (prefix, _, heads) in ideals.items():
         head_key, rest_key = keys[mask]
@@ -649,10 +589,9 @@ def _expansion(codes: Coded) -> list[tuple[Coded, MoveInstance]]:
                 for last, last_code in ideals[two][2]:
                     window = (first_code, middle_code, last_code)
                     windows.add(head_key + window + keys[two | 1 << last][1])
+        strands = sum(_DELTA[_KINDS[code >> 32]] for code in prefix)
         for concrete in windows:
-            if concrete not in moves:
-                moves[concrete] = _pattern_moves(_decode(concrete))
-            pairs += [(concrete, m) for m in moves[concrete] if m.site[0] == len(prefix)]
+            pairs += [(concrete, m) for m in _moves_at(_decode(concrete), len(prefix), strands)]
     return sorted(pairs)
 
 

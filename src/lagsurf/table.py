@@ -31,15 +31,7 @@ from enum import Enum
 from functools import cached_property
 
 from .classify import rationally_convex_set
-from .surfaces import (
-    DiskBundle,
-    SurfaceComplex,
-    euler_number,
-    genus_chain,
-    glue_mobius_three_umbrellas,
-    klein_base,
-    mobius_smoothing,
-)
+from .surfaces import DiskBundle, SurfaceComplex, euler_number, genus_chain
 
 
 class Rule(str, Enum):
@@ -162,17 +154,6 @@ def derive_table(min_chi: int = -5) -> DerivationGraph:
         eulers.append(tuple(positions))
         links.append(tuple(row_links))
     return DerivationGraph(min_chi, tuple(eulers), tuple(links))
-
-
-def replay_witness(path: tuple[Rule, ...]) -> SurfaceComplex:
-    """Rebuild the surface a witness path describes, one operation per rule."""
-    s = klein_base()
-    for rule in path:
-        if rule is Rule.VERTICAL:
-            s = glue_mobius_three_umbrellas(s)
-        else:
-            s = mobius_smoothing(s, 0)
-    return s
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,12 @@ from lagsurf.linking import (
     stereographic,
 )
 from lagsurf.moves import (
+    BACKWARD,
+    FORWARD,
     MoveId,
+    MoveInstance,
     MoveNotApplicable,
-    applicable_moves,
-    apply_move_word,
+    Word,
     commute_pair,
 )
 from lagsurf.surfaces import DiskBundle
@@ -157,6 +159,177 @@ def reference_slide_path(
     return paths[goal]
 
 
+# -- the case-by-case pattern moves of ``moves``, kept as references ------
+
+L, X, R = EventKind.LEFT_CUSP, EventKind.CROSSING, EventKind.RIGHT_CUSP
+
+
+_R2_EXPANSIONS = {
+    MoveId.R2_LEFT_CUSP_STRAND_ABOVE: lambda q: ((L, q - 1), (X, q), (X, q - 1)),
+    MoveId.R2_LEFT_CUSP_STRAND_BELOW: lambda q: ((L, q + 1), (X, q), (X, q + 1)),
+    MoveId.R2_RIGHT_CUSP_STRAND_ABOVE: lambda q: ((X, q - 1), (X, q), (R, q - 1)),
+    MoveId.R2_RIGHT_CUSP_STRAND_BELOW: lambda q: ((X, q + 1), (X, q), (R, q + 1)),
+}
+_R2_CUSP_KIND = {
+    MoveId.R2_LEFT_CUSP_STRAND_ABOVE: L,
+    MoveId.R2_LEFT_CUSP_STRAND_BELOW: L,
+    MoveId.R2_RIGHT_CUSP_STRAND_ABOVE: R,
+    MoveId.R2_RIGHT_CUSP_STRAND_BELOW: R,
+}
+
+_R1_WINDOWS = {
+    MoveId.R1_KINK_BELOW: lambda p: ((L, p + 1), (X, p), (R, p + 1)),
+    MoveId.R1_KINK_ABOVE: lambda p: ((L, p), (X, p + 1), (R, p)),
+}
+
+
+def _events(*pairs: tuple[EventKind, int]) -> Word:
+    return tuple(FrontEvent(kind, pos) for kind, pos in pairs)
+
+
+def _strand_counts(events: Word) -> list[int]:
+    """Strand count before each event index (length ``len(events) + 1``)."""
+    counts = [0]
+    delta = {L: 2, X: 0, R: -2}
+    for ev in events:
+        counts.append(counts[-1] + delta[ev.kind])
+    return counts
+
+
+def reference_apply_move_word(events: Word, move: MoveInstance) -> Word:
+    """Apply a move to a bare word; raises MoveNotApplicable on mismatch."""
+    i, p = move.site
+    counts = _strand_counts(events)
+
+    def window_is(expected: Word) -> bool:
+        return events[i : i + len(expected)] == expected
+
+    if move.move_id is MoveId.SLIDE:
+        if not 0 <= i < len(events) - 1:
+            raise MoveNotApplicable(f"no adjacent pair at {i}")
+        swapped = commute_pair(events[i], events[i + 1])
+        if swapped is None:
+            raise MoveNotApplicable(f"events at {i} do not commute")
+        return events[:i] + swapped + events[i + 2 :]
+
+    if move.move_id in _R1_WINDOWS:
+        window = _events(*_R1_WINDOWS[move.move_id](p))
+        if move.direction is FORWARD:
+            if not 0 <= i <= len(events) or not 1 <= p <= counts[min(i, len(counts) - 1)]:
+                raise MoveNotApplicable(f"no strand {p} at index {i}")
+            return events[:i] + window + events[i:]
+        if not window_is(window):
+            raise MoveNotApplicable(f"no kink window at {i}")
+        return events[:i] + events[i + 3 :]
+
+    if move.move_id in _R2_EXPANSIONS:
+        cusp = FrontEvent(_R2_CUSP_KIND[move.move_id], p)
+        window = _events(*_R2_EXPANSIONS[move.move_id](p))
+        if move.direction is FORWARD:
+            if not (i < len(events) and events[i] == cusp):
+                raise MoveNotApplicable(f"no {cusp} at {i}")
+            n = counts[i]
+            if move.move_id is MoveId.R2_LEFT_CUSP_STRAND_ABOVE and p < 2:
+                raise MoveNotApplicable("no strand above the cusp")
+            if move.move_id is MoveId.R2_LEFT_CUSP_STRAND_BELOW and n < p:
+                raise MoveNotApplicable("no strand below the cusp")
+            if move.move_id is MoveId.R2_RIGHT_CUSP_STRAND_ABOVE and p < 2:
+                raise MoveNotApplicable("no strand above the cusp")
+            if move.move_id is MoveId.R2_RIGHT_CUSP_STRAND_BELOW and n < p + 2:
+                raise MoveNotApplicable("no strand below the cusp")
+            return events[:i] + window + events[i + 1 :]
+        if not window_is(window):
+            raise MoveNotApplicable(f"no cusp-pass window at {i}")
+        return events[:i] + (cusp,) + events[i + 3 :]
+
+    if move.move_id is MoveId.R3_TRIPLE_POINT:
+        if move.direction is FORWARD:
+            window = _events((X, p), (X, p + 1), (X, p))
+            replacement = _events((X, p + 1), (X, p), (X, p + 1))
+        else:
+            window = _events((X, p), (X, p - 1), (X, p))
+            replacement = _events((X, p - 1), (X, p), (X, p - 1))
+        if not window_is(window):
+            raise MoveNotApplicable(f"no triple-point window at {i}")
+        return events[:i] + replacement + events[i + 3 :]
+
+    raise MoveNotApplicable(f"unknown move {move.move_id}")
+
+
+def reference_inverse_move(move: MoveInstance) -> MoveInstance:
+    """The move undoing ``move`` at the same spot."""
+    i, p = move.site
+    if move.move_id is MoveId.SLIDE:
+        return move
+    if move.move_id is MoveId.R3_TRIPLE_POINT:
+        if move.direction is FORWARD:
+            return MoveInstance(move.move_id, (i, p + 1), BACKWARD)
+        return MoveInstance(move.move_id, (i, p - 1), FORWARD)
+    flipped = BACKWARD if move.direction is FORWARD else FORWARD
+    return MoveInstance(move.move_id, (i, p), flipped)
+
+
+def reference_applicable_moves(diagram: FrontDiagram) -> list[MoveInstance]:
+    """Every move instance whose pattern matches the diagram's word.
+
+    Kink insertions are enumerated for every insertion index and strand;
+    expansions, contractions, triple points and slides by window scan.  The
+    list is sorted for determinism.
+    """
+    events = diagram.events
+    counts = _strand_counts(events)
+    found: list[MoveInstance] = []
+
+    for i in range(len(events) + 1):
+        n = counts[i]
+        for p in range(1, n + 1):
+            found.append(MoveInstance(MoveId.R1_KINK_BELOW, (i, p), FORWARD))
+            found.append(MoveInstance(MoveId.R1_KINK_ABOVE, (i, p), FORWARD))
+
+    for i, ev in enumerate(events):
+        n = counts[i]
+        if ev.kind is L:
+            if ev.pos >= 2:
+                found.append(
+                    MoveInstance(MoveId.R2_LEFT_CUSP_STRAND_ABOVE, (i, ev.pos), FORWARD)
+                )
+            if n >= ev.pos:
+                found.append(
+                    MoveInstance(MoveId.R2_LEFT_CUSP_STRAND_BELOW, (i, ev.pos), FORWARD)
+                )
+        elif ev.kind is R:
+            if ev.pos >= 2:
+                found.append(
+                    MoveInstance(MoveId.R2_RIGHT_CUSP_STRAND_ABOVE, (i, ev.pos), FORWARD)
+                )
+            if n >= ev.pos + 2:
+                found.append(
+                    MoveInstance(MoveId.R2_RIGHT_CUSP_STRAND_BELOW, (i, ev.pos), FORWARD)
+                )
+
+    for i in range(len(events) - 2):
+        a, b, c = events[i : i + 3]
+        for move_id, shape in _R1_WINDOWS.items():
+            if (a, b, c) == _events(*shape(b.pos if move_id is MoveId.R1_KINK_BELOW else a.pos)):
+                p = b.pos if move_id is MoveId.R1_KINK_BELOW else a.pos
+                found.append(MoveInstance(move_id, (i, p), BACKWARD))
+        for move_id, shape in _R2_EXPANSIONS.items():
+            # recover the contracted position from the expanded window's middle
+            q = b.pos
+            if (a, b, c) == _events(*shape(q)):
+                found.append(MoveInstance(move_id, (i, q), BACKWARD))
+        if (a, b, c) == _events((X, a.pos), (X, a.pos + 1), (X, a.pos)):
+            found.append(MoveInstance(MoveId.R3_TRIPLE_POINT, (i, a.pos), FORWARD))
+        if (a, b, c) == _events((X, a.pos), (X, a.pos - 1), (X, a.pos)):
+            found.append(MoveInstance(MoveId.R3_TRIPLE_POINT, (i, a.pos), BACKWARD))
+
+    for i in range(len(events) - 1):
+        if commute_pair(events[i], events[i + 1]) is not None:
+            found.append(MoveInstance(MoveId.SLIDE, (i, 0), FORWARD))
+
+    return sorted(found)
+
+
 def reference_child_producers(events: tuple[FrontEvent, ...]) -> dict:
     """Each class one pattern move from the class of ``events``, by full expansion.
 
@@ -202,11 +375,11 @@ def reference_child_producers(events: tuple[FrontEvent, ...]) -> dict:
 
     producers: dict = {}
     for concrete in sorted(map(decode, relatives(encode(events)))):
-        for move in applicable_moves(FrontDiagram(concrete)):
+        for move in reference_applicable_moves(FrontDiagram(concrete)):
             if move.move_id is MoveId.SLIDE:
                 continue
             try:
-                child = apply_move_word(concrete, move)
+                child = reference_apply_move_word(concrete, move)
             except MoveNotApplicable:
                 continue
             producers.setdefault(key(child), (concrete, move))

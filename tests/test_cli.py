@@ -100,6 +100,15 @@ def test_moves_apply_rejects_bad_spec(capsys):
     assert "bad move spec" in err
 
 
+def test_moves_apply_rejects_a_negative_site(capsys, tmp_path):
+    doc = tmp_path / "kinked.front"
+    doc.write_text("front kinked\nL 1\nL 1\nL 2\nX 1\nR 2\nR 2\nR 1\n")
+    code, out, err = run(capsys, "moves", "apply", str(doc), "r1_kink_below@-5:1:backward")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_moves_equiv_identical(capsys):
     code, out, _ = run(
         capsys, "moves", "equiv", corpus_file("unknot"), corpus_file("unknot")
@@ -282,6 +291,17 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--chi", "0"])
     assert exc.value.code == 2
+    # one grid point proves nothing, and a search cannot go below depth 0
+    for argv in (
+        ["verify", "strip", "--grid", "1"],
+        ["verify", "cone", "--grid", "0"],
+        ["verify", "umbrella", "--grid", "-3"],
+        ["moves", "equiv", corpus_file("unknot"), corpus_file("unknot"), "--depth", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_stdin_dash(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from lagsurf.fronts import FrontDiagram, FrontError, word
 from lagsurf.moves import (
     BACKWARD,
     FORWARD,
+    MoveDirection,
     MoveId,
     MoveInstance,
     MoveNotApplicable,
@@ -74,6 +75,43 @@ def test_not_applicable():
         apply_move(TRIVIAL, MoveInstance(MoveId.R1_KINK_BELOW, (0, 1), BACKWARD))
     with pytest.raises(MoveNotApplicable):
         apply_move(TRIVIAL, MoveInstance(MoveId.SLIDE, (0, 0), FORWARD))
+
+
+def test_negative_sites_are_not_applicable():
+    # slicing would alias these onto windows counted from the end of the word
+    events = word("L1 L1 L2 X1 R2 R2 R1")
+    for move_id in MoveId:
+        for direction in MoveDirection:
+            for i in range(-1, -len(events) - 1, -1):
+                for p in range(-1, 6):
+                    with pytest.raises(MoveNotApplicable):
+                        apply_move_word(events, MoveInstance(move_id, (i, p), direction))
+
+
+def rewrite(apply, events, move):
+    try:
+        return apply(events, move)
+    except MoveNotApplicable:
+        return None
+
+
+def assert_moves_match_reference(events):
+    diagram = FrontDiagram(events)
+    assert applicable_moves(diagram) == helpers.reference_applicable_moves(diagram)
+    for move_id in MoveId:
+        for direction in MoveDirection:
+            for i in range(len(events) + 1):
+                for p in range(-1, diagram.max_strands + 3):
+                    move = MoveInstance(move_id, (i, p), direction)
+                    assert rewrite(apply_move_word, events, move) == rewrite(
+                        helpers.reference_apply_move_word, events, move
+                    )
+                    assert inverse_move(move) == helpers.reference_inverse_move(move)
+
+
+@given(helpers.front_words(max_events=10))
+def test_pattern_table_matches_reference(events):
+    assert_moves_match_reference(events)
 
 
 def test_zigzag_moves_keep_invariants():
@@ -202,6 +240,11 @@ def seeded_words(seed: int = 5) -> list[tuple]:
         if 4 <= len(events) <= 13:
             by_length.setdefault(len(events), events)
     return [by_length[n] for n in sorted(by_length)]
+
+
+@pytest.mark.parametrize("events", seeded_words())
+def test_pattern_table_matches_reference_on_seeded_words(events):
+    assert_moves_match_reference(events)
 
 
 @given(helpers.front_words(max_events=10), helpers.front_words(max_events=10))

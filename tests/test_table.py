@@ -12,7 +12,6 @@ from lagsurf.table import (
     Rule,
     derive_table,
     orientable_catalog,
-    replay_witness,
     verify_closure,
 )
 
@@ -50,7 +49,7 @@ def test_witnesses_replay_to_their_nodes():
     graph = derive_table(-5)
     assert graph.witnesses[SEED] == ()
     for node in graph.nodes:
-        s = replay_witness(graph.witnesses[node])
+        s = run_surface_script("\n".join(witness_script(graph.witnesses[node])))
         assert (s.chi, euler_number(s), s.orientable) == (node.chi, node.euler, False)
         assert len(s.singularities) == -node.euler - node.chi
         assert all(x.model_tb == -2 for x in s.singularities)
