@@ -305,6 +305,9 @@ def _table_check(args) -> int:
 
 # -- verify ----------------------------------------------------------------
 
+# Points per axis of the strip, cone and umbrella grids without --grid.
+_DEFAULT_GRID = 64
+
 
 def _report_dict(check: str, report) -> dict:
     return {"check": check, **asdict(report)}
@@ -320,6 +323,10 @@ def _write_csv(path: str, params: Sequence[str], rows) -> None:
 
 
 def _verify(args) -> int:
+    if args.grid is not None and args.family not in ("strip", "cone", "umbrella"):
+        args.usage_error("--grid applies to strip, cone and umbrella only")
+    per_axis = _DEFAULT_GRID if args.grid is None else args.grid
+
     import numpy as np
 
     from .immersions import (
@@ -352,14 +359,14 @@ def _verify(args) -> int:
         half = strip_half_width(args.a)
         return grid(
             strip_family(args.a),
-            np.linspace(0.0, math.pi, args.grid),
-            np.linspace(-half, half, args.grid),
+            np.linspace(0.0, math.pi, per_axis),
+            np.linspace(-half, half, per_axis),
             ("identities", strip_identities(args.a)),
             a=args.a,
         )
 
     def umbrella():
-        square = np.linspace(-1.0, 1.0, args.grid)
+        square = np.linspace(-1.0, 1.0, per_axis)
         return grid(umbrella_family(), square, square, ("liouville", liouville_identity()))
 
     def curve():
@@ -375,8 +382,8 @@ def _verify(args) -> int:
         "strip": strip,
         "cone": lambda: grid(
             cone_family(),
-            np.linspace(0.0, math.pi, args.grid),
-            np.linspace(0.1, 1.0, args.grid),
+            np.linspace(0.0, math.pi, per_axis),
+            np.linspace(0.1, 1.0, per_axis),
         ),
         "umbrella": umbrella,
         "curve": curve,
@@ -475,12 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numeric residual checks")
     p.add_argument("family", choices=("strip", "cone", "umbrella", "curve", "convergence"))
     p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--grid", type=_int_at_least(2), default=64,
-                   help="points per axis for strip, cone and umbrella")
+    p.add_argument("--grid", type=_int_at_least(2), default=None,
+                   help=f"points per axis for strip, cone and umbrella (default {_DEFAULT_GRID})")
     p.add_argument("--step", type=float, default=1e-4)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--csv", default=None)
-    p.set_defaults(handler=_verify)
+    p.set_defaults(handler=_verify, usage_error=p.error)
 
     return parser
 

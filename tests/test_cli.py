@@ -291,17 +291,23 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--chi", "0"])
     assert exc.value.code == 2
-    # one grid point proves nothing, and a search cannot go below depth 0
+    capsys.readouterr()
+    # one grid point proves nothing, the curve and the convergence check have
+    # no grid, and a search cannot go below depth 0
     for argv in (
         ["verify", "strip", "--grid", "1"],
         ["verify", "cone", "--grid", "0"],
         ["verify", "umbrella", "--grid", "-3"],
+        ["verify", "curve", "--grid", "64"],
+        ["verify", "convergence", "--grid", "8"],
         ["moves", "equiv", corpus_file("unknot"), corpus_file("unknot"), "--depth", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def test_stdin_dash(capsys, monkeypatch):

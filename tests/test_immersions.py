@@ -13,6 +13,7 @@ from lagsurf.immersions import (
     AOutOfRange,
     GridOutsideDomain,
     VerificationReport,
+    _pack,
     boundary_curve,
     boundary_curve_tangent,
     cone_family,
@@ -90,15 +91,29 @@ def test_pullback_matches_the_meshgrid_sweep(name, rows, columns):
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_evaluator_is_the_packed_chart(name):
+    family, first, second = SWEEPS[name]
+    a, b = np.linspace(*first, 9), np.linspace(*second, 9)
+    for args, shape in [
+        ((a[:, None], b[None, :]), (9, 9, 4)),
+        ((a, b), (9, 4)),
+        ((np.array(a[3]), np.array(b[5])), (4,)),
+    ]:
+        points = family.evaluator(*args)
+        assert points.shape == shape
+        assert np.array_equal(points, _pack(*family.chart(*args)))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_pullback_evaluates_one_axis_at_a_time(name):
     family, first, second = SWEEPS[name]
     sizes = []
 
     def recording(*args):
         sizes.extend(np.size(arg) for arg in args)
-        return family.evaluator(*args)
+        return family.chart(*args)
 
-    spy = dataclasses.replace(family, evaluator=recording)
+    spy = dataclasses.replace(family, chart=recording)
     report = pullback_residual(spy, np.linspace(*first, 1024), np.linspace(*second, 1024))
     assert report.passed
     assert sizes and max(sizes) <= max(_TILE_ELEMENTS // 1024, 1024)

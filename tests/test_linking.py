@@ -398,10 +398,10 @@ def peak_mib(call, *args):
 def test_oracles_run_in_bounded_memory():
     pairs = sample_pairs(4096)
     assert peak_mib(contact_framing, pairs["boundary"][0]) < 8
-    assert peak_mib(linking_number, *pairs["hopf"]) < 128
+    assert peak_mib(linking_number, *pairs["hopf"]) < 8
     assert peak_mib(gauss_linking, *pairs["boundary"]) < 8
     grid = (cone_family(), np.linspace(0.0, math.pi, 1024), np.linspace(0.1, 1.0, 1024))
-    assert peak_mib(pullback_residual, *grid) < 8
+    assert peak_mib(pullback_residual, *grid) < 4
 
 
 def test_embeddedness_check_runs_in_bounded_memory():

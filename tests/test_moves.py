@@ -277,7 +277,14 @@ def test_key_of_wide_class():
     assert canonical_word(three) == min(helpers.reference_slide_closure(three))
 
 
-@pytest.mark.parametrize("events", [w for w in seeded_words() if len(w) <= 8])
+# Classes holding the two triple-point windows, which no short seeded word
+# has: X1 X2 X1 once R3 slides past X1, and X2 X1 X2 as written.
+TRIPLE_POINT_WORDS = [word("L1 L3 X1 X2 R3 X1 R1"), word("L1 L3 X2 X1 X2 R1 R1")]
+
+
+@pytest.mark.parametrize(
+    "events", [w for w in seeded_words() if len(w) <= 8] + TRIPLE_POINT_WORDS
+)
 def test_ideal_expansion_matches_full_expansion(events):
     expected = helpers.reference_child_producers(events)
     found: dict = {}
