@@ -146,6 +146,9 @@ class CrossingInfo:
     sign: int
 
 
+_LEFT, _CROSSING = EventKind.LEFT_CUSP, EventKind.CROSSING
+
+
 class _Structure:
     """Arc/cusp/crossing combinatorics of a validated word (orientation-free)."""
 
@@ -171,30 +174,32 @@ class _Structure:
         max_strands = 0
         for i, ev in enumerate(events):
             n = len(active)
-            if ev.kind is EventKind.LEFT_CUSP:
-                if not 1 <= ev.pos <= n + 1:
+            kind, pos = ev.kind, ev.pos
+            if kind is _LEFT:
+                if not 1 <= pos <= n + 1:
                     raise PositionOutOfRange(i, ev, n)
                 u = len(births)
-                births.extend((len(cusps), len(cusps)))
-                deaths.extend((-1, -1))
-                active[ev.pos - 1 : ev.pos - 1] = [u, u + 1]
-                cusps.append((i, ev.kind, u, u + 1))
-            elif ev.kind is EventKind.CROSSING:
-                if not 1 <= ev.pos <= n - 1:
+                births += (len(cusps), len(cusps))
+                deaths += (-1, -1)
+                active[pos - 1 : pos - 1] = (u, u + 1)
+                cusps.append((i, kind, u, u + 1))
+                if n + 2 > max_strands:
+                    max_strands = n + 2
+            elif kind is _CROSSING:
+                if not 1 <= pos <= n - 1:
                     raise PositionOutOfRange(i, ev, n)
-                a, b = active[ev.pos - 1], active[ev.pos]
+                a, b = active[pos - 1], active[pos]
                 crossings.append((i, a, b))
-                active[ev.pos - 1], active[ev.pos] = b, a
+                active[pos - 1], active[pos] = b, a
             else:
                 if n < 2:
                     raise NegativeStrandCount(i, ev, n)
-                if not 1 <= ev.pos <= n - 1:
+                if not 1 <= pos <= n - 1:
                     raise PositionOutOfRange(i, ev, n)
-                a, b = active[ev.pos - 1], active[ev.pos]
+                a, b = active[pos - 1], active[pos]
                 deaths[a] = deaths[b] = len(cusps)
-                cusps.append((i, ev.kind, a, b))
-                del active[ev.pos - 1 : ev.pos + 1]
-            max_strands = max(max_strands, len(active))
+                cusps.append((i, kind, a, b))
+                del active[pos - 1 : pos + 1]
         if active:
             raise NonClosedFront(len(active))
 
@@ -233,6 +238,19 @@ class _Structure:
         self.max_strands = max_strands
 
 
+def _checked_signs(
+    structure: _Structure, orientations: Sequence[int] | None
+) -> tuple[int, ...]:
+    """One sign per component of ``structure``, all +1 when ``orientations`` is None."""
+    ncomp = len(structure.components)
+    if orientations is None:
+        return (1,) * ncomp
+    signs = tuple(orientations)
+    if len(signs) != ncomp or any(o not in (-1, 1) for o in signs):
+        raise ValueError(f"need {ncomp} orientation signs, got {orientations!r}")
+    return signs
+
+
 @dataclass(frozen=True)
 class FrontDiagram:
     """A validated closed front word plus a choice of component orientations.
@@ -253,18 +271,31 @@ class FrontDiagram:
         object.__setattr__(self, "events", events)
         structure = _Structure(events)
         object.__setattr__(self, "_structure", structure)
-        ncomp = len(structure.components)
-        if self.orientations is None:
-            orientations = (1,) * ncomp
-        else:
-            orientations = tuple(self.orientations)
-            if len(orientations) != ncomp or any(o not in (-1, 1) for o in orientations):
-                raise ValueError(
-                    f"need {ncomp} orientation signs, got {self.orientations!r}"
-                )
-        object.__setattr__(self, "orientations", orientations)
+        object.__setattr__(
+            self, "orientations", _checked_signs(structure, self.orientations)
+        )
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _on_structure(
+        cls,
+        events: tuple[FrontEvent, ...],
+        structure: _Structure,
+        orientations: Sequence[int] | None,
+    ) -> "FrontDiagram":
+        """The diagram on ``events`` given their already-built ``structure``.
+
+        Only the orientation signs are checked; the word is validated once,
+        by the ``_Structure`` build.
+        """
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "events", events)
+        object.__setattr__(diagram, "_structure", structure)
+        object.__setattr__(
+            diagram, "orientations", _checked_signs(structure, orientations)
+        )
+        return diagram
 
     @classmethod
     def from_word(
@@ -393,11 +424,13 @@ class FrontDiagram:
     # -- orientation handling ---------------------------------------------
 
     def with_orientations(self, orientations: Sequence[int]) -> "FrontDiagram":
-        return FrontDiagram(self.events, tuple(orientations))
+        return FrontDiagram._on_structure(
+            self.events, self._structure, tuple(orientations)
+        )
 
     def reverse(self) -> "FrontDiagram":
         """Reverse every component's orientation (negates rot, fixes tb)."""
-        return FrontDiagram(self.events, tuple(-o for o in self.orientations))
+        return self.with_orientations(-o for o in self.orientations)
 
     # -- mirrors -----------------------------------------------------------
 

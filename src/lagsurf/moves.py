@@ -46,7 +46,9 @@ Moves act on words.  Orientations are carried across the rewrite by
 matching the traversal sense of a cusp outside the rewritten window: every
 component keeps at least one such cusp (no window holds more than one cusp
 pair, and that pair always hangs off a strand born elsewhere), and a local
-rewrite cannot change how an untouched cusp is traversed.
+rewrite cannot change how an untouched cusp is traversed.  The rewritten
+word is validated once, and the senses are read off the two words'
+structures.
 
 Internal coding
 ---------------
@@ -72,9 +74,15 @@ class is ever listed:
   front code of any event that can come next (Anisimov--Knuth).  Ties are
   followed level by level, one state per set of events placed.  The key is
   the search's memoization key and :func:`canonical_word`.
+* **Incremental heads.**  Events are placed as in Kahn's topological sort:
+  each event waits on the nearest event before it that it does not commute
+  with, and slides on only once that one is placed.  A slide moves a code
+  by 0 or 2 positions, by an amount that depends only on the two events,
+  so the codes that placing an event changes are shifted, not re-slid.
 * **Expansion.**  A search node applies its pattern moves only to the
   words ``key(I) + window + key(rest)`` of each ideal ``I``, which hold the
-  least producer of every child class.
+  least producer of every child class.  The rest keys come from one pass
+  over the ideals, largest first.
 * **Paths.**  The keys match the events of two words of one class; the
   slide path sorts one word into the other, always at the least index out
   of order, which is the path a breadth-first search finds first.  Cusp
@@ -88,13 +96,15 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from operator import add, attrgetter
+from typing import Iterable, Optional
 
 from lagsurf.fronts import (
     EventKind,
     FrontDiagram,
     FrontError,
     FrontEvent,
+    _Structure,
 )
 
 L, X, R = EventKind.LEFT_CUSP, EventKind.CROSSING, EventKind.RIGHT_CUSP
@@ -306,29 +316,36 @@ def apply_move(diagram: FrontDiagram, move: MoveInstance) -> FrontDiagram:
     For each component, some cusp survives outside the rewritten window, and
     a local rewrite cannot change how that cusp is traversed; matching its
     sense between the old diagram and the (default-oriented) new one
-    recovers the component's orientation sign.
+    recovers the component's orientation sign.  The new word is validated
+    once, and the senses are read off both words' structures.
     """
     new_events = apply_move_word(diagram.events, move)
-    plain = FrontDiagram(new_events)
+    old, new = diagram._structure, _Structure(new_events)
     start = move.site[0]
     if move.move_id is MoveId.SLIDE:
         old_len = new_len = 2
     else:
         old_len, new_len = map(len, _PATTERNS[move.move_id, move.direction])
-    new_cusps = {c.event: c for c in plain.cusps()}
-    signs = [0] * plain.component_count
-    for cusp in diagram.cusps():
-        if start <= cusp.event < start + old_len:
+    new_cusp = {cusp[0]: ci for ci, cusp in enumerate(new.cusps)}
+    orientations = diagram.orientations
+    signs = [0] * len(new.components)
+    for ci, (event, _, upper, _) in enumerate(old.cusps):
+        if start <= event < start + old_len:
             continue
-        target = cusp.event if cusp.event < start else cusp.event + new_len - old_len
-        mirror = new_cusps[target]
-        sign = cusp.sense * mirror.sense
-        if signs[mirror.component] not in (0, sign):
+        target = event if event < start else event + new_len - old_len
+        mirror = new_cusp[target]
+        component = new.component_of[new.cusps[mirror][2]]
+        sign = (
+            old.cusp_sense[ci]
+            * orientations[old.component_of[upper]]
+            * new.cusp_sense[mirror]
+        )
+        if signs[component] not in (0, sign):
             raise SenseTransferConflict("sense transfer disagrees")
-        signs[mirror.component] = sign
+        signs[component] = sign
     if 0 in signs:
         raise MoveNotApplicable("a component has no cusp outside the window")
-    return FrontDiagram(new_events, tuple(signs))
+    return FrontDiagram._on_structure(new_events, new, tuple(signs))
 
 
 def inverse_move(move: MoveInstance) -> MoveInstance:
@@ -359,7 +376,8 @@ def applicable_moves(diagram: FrontDiagram) -> list[MoveInstance]:
     for i in range(len(events) - 1):
         if commute_pair(events[i], events[i + 1]) is not None:
             found.append(MoveInstance(MoveId.SLIDE, (i, 0), FORWARD))
-    return sorted(found)
+    # the dataclass order of MoveInstance, without a call to its __lt__
+    return sorted(found, key=attrgetter("move_id", "site", "direction"))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +395,14 @@ _POS_MASK = (1 << 32) - 1
 _MEMO_SIZE = 1 << 16
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _shared(code: int) -> int:
+    """One int object per code value, so that words and keys kept in bulk share them."""
+    return code
+
+
 def _encode(events: Iterable[FrontEvent]) -> Coded:
-    return tuple(_RANK[ev.kind] << 32 | (ev.pos + _POS_BIAS) for ev in events)
+    return tuple(_shared(_RANK[ev.kind] << 32 | (ev.pos + _POS_BIAS)) for ev in events)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -397,23 +421,143 @@ def _commute_codes(a: int, b: int) -> Optional[Coded]:
     return None if swapped is None else _encode(swapped)
 
 
-def _heads(codes: Coded) -> Iterator[tuple[int, int, Coded]]:
-    """Each event that slides can bring to the front of ``codes``.
+# A placement state, see _Placer: the word of the events still to place and
+# their indices in the word placing started from; per event (by index) the
+# event it waits on (-1 for a head), and its code just after that event with
+# the placed set when that code was taken; the heads as ``(front code,
+# event)``, least first; and the set of events placed, as a bit mask.
+_State = tuple[
+    Coded, tuple[int, ...], list[int], list[tuple[int, int]], list[tuple[int, int]], int
+]
 
-    Yields its index, its code at the front and the other events after it,
-    in order.  An event can come first iff it slides past every event
-    before it, one at a time.
+
+class _Placer:
+    """Places the events of one word at the front, one head at a time.
+
+    Kahn's topological sort on the trace: each event waits on the nearest
+    event before it that it does not commute with, and slides on only when
+    that event is placed.  Sliding event ``e`` past ``c`` moves each code by
+    an amount that depends only on the two events, kept in ``shift``:
+    ``shift[c][e]`` is the change in ``e``'s code when ``c`` goes from after
+    ``e`` to before it.  Placing a head moves the codes of the events before
+    it and of the other heads by these amounts, with no slide; a waiting
+    event's code takes the moves of the events placed past it since it
+    stopped when it slides on.  ``slides`` counts the slides made.
     """
-    for k, code in enumerate(codes):
-        passed = []
-        for j in range(k - 1, -1, -1):
-            swapped = _commute_codes(codes[j], code)
+
+    __slots__ = ("shift", "slides")
+
+    def __init__(self, size: int):
+        self.shift = [[0] * size for _ in range(size)]
+        self.slides = 0
+
+    def _slide(self, rest: Coded, ids: tuple[int, ...], event: int, code: int, j: int):
+        """Slide ``event``, with ``code`` just after index ``j`` of ``rest``, to the front.
+
+        Returns the event that stops it, or -1, and its code just after
+        that event.
+        """
+        start = j
+        shift, own = self.shift, self.shift[event]
+        while j >= 0:
+            swapped = _commute_codes(rest[j], code)
             if swapped is None:
-                break
-            code, moved = swapped
-            passed.append(moved)
+                self.slides += start - j
+                return ids[j], code
+            moved, passed = swapped
+            other = ids[j]
+            shift[other][event] = code - moved
+            own[other] = passed - rest[j]
+            code = moved
+            j -= 1
+        self.slides += start - j
+        return -1, code
+
+    def start(self, codes: Coded) -> _State:
+        ids = tuple(range(len(codes)))
+        blockers, waits, heads = [], [], []
+        for k, code in enumerate(codes):
+            blocker, code = self._slide(codes, ids, k, code, k - 1)
+            blockers.append(blocker)
+            waits.append((code, 0))
+            if blocker < 0:
+                heads.append((code, k))
+        heads.sort()
+        return codes, ids, blockers, waits, heads, 0
+
+    def place(self, state: _State, event: int) -> _State:
+        """The state after the head ``event`` of ``state`` is placed."""
+        rest, ids, blockers, waits, heads, mask = state
+        shift = self.shift
+        moved = shift[event]
+        k = ids.index(event)
+        if k:
+            ahead = map(add, rest[:k], [moved[e] for e in ids[:k]])
+            rest = (*ahead, *rest[k + 1 :])
         else:
-            yield k, code, tuple(reversed(passed)) + codes[k + 1 :]
+            rest = rest[1:]
+        ids = ids[:k] + ids[k + 1 :]
+        mask |= 1 << event
+        heads = [(code + moved[e], e) for code, e in heads if e != event]
+        if event in blockers:
+            blockers, waits = blockers[:], waits[:]
+            later = -(2 << event)  # the events after ``event``, as a mask
+            waiting = blockers.index(event)
+            while True:
+                code, stamp = waits[waiting]
+                passed = mask & ~stamp & later
+                while passed:
+                    low = passed & -passed
+                    code += shift[low.bit_length() - 1][waiting]
+                    passed ^= low
+                if k:
+                    blocker, code = self._slide(rest, ids, waiting, code, k - 1)
+                else:
+                    blocker = -1
+                blockers[waiting] = blocker
+                if blocker < 0:
+                    heads.append((code, waiting))
+                else:
+                    waits[waiting] = code, mask
+                if event not in blockers:
+                    break
+                waiting = blockers.index(event, waiting + 1)
+        heads.sort()
+        return rest, ids, blockers, waits, heads, mask
+
+
+def _trace(codes: Coded) -> tuple[Coded, tuple[int, ...], int]:
+    """:func:`_trace_key` and the number of slides it took."""
+    placer = _Placer(len(codes))
+    states = [((), placer.start(codes))]
+    key: list[int] = []
+    for left in range(len(codes), 0, -1):
+        if len(states) == 1:
+            order, state = states[0]
+            heads = state[4]
+            best, event = heads[0]
+            if len(heads) == 1 or heads[1][0] != best:
+                # no tie: the one least head is placed, with no set to merge
+                key.append(best)
+                after = placer.place(state, event) if left > 1 else None
+                states = [(order + (event,), after)]
+                continue
+        best = min([state[4][0][0] for _, state in states])
+        nxt: dict[int, tuple[tuple[int, ...], _State]] = {}
+        for order, state in states:
+            mask = state[5]
+            for code, event in state[4]:
+                if code != best:
+                    break
+                child = mask | 1 << event
+                if child not in nxt:
+                    # the last event placed leaves nothing to keep
+                    after = placer.place(state, event) if left > 1 else None
+                    nxt[child] = (order + (event,), after)
+        key.append(best)
+        states = list(nxt.values())
+    ((order, _),) = states
+    return tuple(map(_shared, key)), order, placer.slides
 
 
 def _trace_key(codes: Coded) -> tuple[Coded, tuple[int, ...]]:
@@ -425,22 +569,8 @@ def _trace_key(codes: Coded) -> tuple[Coded, tuple[int, ...]]:
     every way of placing them is kept, one state per set of events placed,
     so ties cost the number of such sets and never a branch per path.
     """
-    key: list[int] = []
-    # indices of the events still to place -> (order so far, word of the rest)
-    states = {tuple(range(len(codes))): ((), codes)}
-    for _ in codes:
-        best = None
-        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], Coded]] = {}
-        for left, (order, rest) in states.items():
-            for k, front, after in _heads(rest):
-                if best is None or front < best:
-                    best, nxt = front, {}
-                if front == best:
-                    nxt.setdefault(left[:k] + left[k + 1 :], (order + (left[k],), after))
-        key.append(best)
-        states = nxt
-    ((order, _),) = states.values()
-    return tuple(key), order
+    key, order, _ = _trace(codes)
+    return key, order
 
 
 def canonical_word(events: Word) -> Word:
@@ -448,26 +578,26 @@ def canonical_word(events: Word) -> Word:
     return _decode(_trace_key(_encode(events))[0])
 
 
-def _ideals(codes: Coded) -> dict[int, tuple[Coded, Coded, list[tuple[int, int]]]]:
+def _ideals(codes: Coded) -> dict[int, tuple[Coded, list[tuple[int, int]]]]:
     """Every set of events that slides can bring to the front together.
 
     Keyed by the bit mask of the events' indices in ``codes``, smallest
     sets first.  Each ideal has a word of its events as slides leave them
-    at the front, a word of the other events after them, and its heads:
-    ``(event, front code)`` for each event that can come next.
+    at the front and its heads: ``(event, front code)`` for each event that
+    can come next.
     """
+    placer = _Placer(len(codes))
     ideals = {}
-    level = {0: ((), codes, tuple(range(len(codes))))}
+    level = {0: ((), placer.start(codes))}
     while level:
-        nxt: dict[int, tuple[Coded, Coded, tuple[int, ...]]] = {}
-        for mask, (prefix, rest, ids) in level.items():
-            heads = []
-            for k, front, after in _heads(rest):
-                heads.append((ids[k], front))
-                child = mask | 1 << ids[k]
+        nxt: dict[int, tuple[Coded, _State]] = {}
+        for mask, (prefix, state) in level.items():
+            heads = sorted((event, _shared(code)) for code, event in state[4])
+            for event, code in heads:
+                child = mask | 1 << event
                 if child not in nxt:
-                    nxt[child] = (prefix + (front,), after, ids[:k] + ids[k + 1 :])
-            ideals[mask] = (prefix, rest, heads)
+                    nxt[child] = (prefix + (code,), placer.place(state, event))
+            ideals[mask] = (prefix, heads)
         level = nxt
     return ideals
 
@@ -531,11 +661,11 @@ def align_facing_cusps(
     codes = _encode(events)
     ideals = _ideals(codes)
     candidates = []
-    for mask, (prefix, _, heads) in ideals.items():
+    for mask, (prefix, heads) in ideals.items():
         code = dict(heads).get(right_index)
         if code is None:
             continue
-        after_code = dict(ideals[mask | 1 << right_index][2]).get(left_index)
+        after_code = dict(ideals[mask | 1 << right_index][1]).get(left_index)
         if after_code is None or (after_code ^ code) & _POS_MASK:
             continue
         inside = [e for e in range(len(codes)) if mask >> e & 1]
@@ -571,24 +701,28 @@ def _expansion(codes: Coded) -> list[tuple[Coded, MoveInstance]]:
     class of the full expansion.
     """
     ideals = _ideals(codes)
-    keys = {
-        mask: (_trace_key(prefix)[0], _trace_key(rest)[0])
-        for mask, (prefix, rest, _) in ideals.items()
-    }
+    # The least word of rest(I) starts with one of its heads h and goes on
+    # with the least word of rest(I + h): one pass, largest ideals first.
+    rest_keys: dict[int, Coded] = {}
+    for mask in reversed(ideals):
+        rest_keys[mask] = min(
+            ((code,) + rest_keys[mask | 1 << event] for event, code in ideals[mask][1]),
+            default=(),
+        )
     pairs = []
-    for mask, (prefix, _, heads) in ideals.items():
-        head_key, rest_key = keys[mask]
-        windows = {head_key + rest_key}
+    for mask, (prefix, heads) in ideals.items():
+        head_key = _trace_key(prefix)[0]
+        windows = {head_key + rest_keys[mask]}
         for first, first_code in heads:
             one = mask | 1 << first
-            windows.add(head_key + (first_code,) + keys[one][1])
-            for middle, middle_code in ideals[one][2]:
+            windows.add(head_key + (first_code,) + rest_keys[one])
+            for middle, middle_code in ideals[one][1]:
                 if _KINDS[middle_code >> 32] is not X:
                     continue
                 two = one | 1 << middle
-                for last, last_code in ideals[two][2]:
+                for last, last_code in ideals[two][1]:
                     window = (first_code, middle_code, last_code)
-                    windows.add(head_key + window + keys[two | 1 << last][1])
+                    windows.add(head_key + window + rest_keys[two | 1 << last])
         strands = sum(_DELTA[_KINDS[code >> 32]] for code in prefix)
         for concrete in windows:
             pairs += [(concrete, m) for m in _moves_at(_decode(concrete), len(prefix), strands)]
@@ -610,7 +744,7 @@ def _invariant_key(diagram: FrontDiagram):
     return diagram.component_count, tb, rot, lk
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     word: Coded  # concrete representative reached
     parent: Optional[Coded]  # canonical key of the parent class
@@ -638,7 +772,14 @@ def equivalent_within(
     """
     sides: list[dict[Coded, _Node]] = [{}, {}]
     depths = [0, 0]
-    keys_made = 0
+    keys_made = slides = 0
+
+    def key_of(codes: Coded) -> Coded:
+        nonlocal keys_made, slides
+        key, _, made = _trace(codes)
+        keys_made += 1
+        slides += made
+        return key
 
     def outcome(reason: str, result: Optional[list[MoveInstance]]):
         # Importing logging costs a cold CLI start about 10 ms; a process
@@ -646,8 +787,9 @@ def equivalent_within(
         logging = sys.modules.get("logging")
         if logging is not None:
             logging.getLogger(__name__).debug(
-                "equivalent_within: %s; nodes %d + %d; depth %d + %d; %d keys",
+                "equivalent_within: %s; nodes %d + %d; depth %d + %d; %d keys; %d slides",
                 reason, len(sides[0]), len(sides[1]), depths[0], depths[1], keys_made,
+                slides,
             )
         return result
 
@@ -661,9 +803,8 @@ def equivalent_within(
             raise WitnessReplayError("witness replay failed")
         return outcome("found", witness)
 
-    start_key = _trace_key(start)[0]
-    goal_key = _trace_key(goal)[0]
-    keys_made = 2
+    start_key = key_of(start)
+    goal_key = key_of(goal)
     sides[0][start_key] = _Node(start, None, None, None, 0)
     sides[1][goal_key] = _Node(goal, None, None, None, 0)
     frontiers: list[list[Coded]] = [[start_key], [goal_key]]
@@ -710,8 +851,7 @@ def equivalent_within(
                 except MoveNotApplicable:
                     continue
                 if nxt not in child_keys:
-                    child_keys[nxt] = _trace_key(nxt)[0]
-                    keys_made += 1
+                    child_keys[nxt] = key_of(nxt)
                 nxt_key = child_keys[nxt]
                 if nxt_key in sides[side]:
                     continue

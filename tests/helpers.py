@@ -23,12 +23,17 @@ from lagsurf.linking import (
     stereographic,
 )
 from lagsurf.moves import (
+    _PATTERNS,
     BACKWARD,
     FORWARD,
+    Coded,
     MoveId,
     MoveInstance,
     MoveNotApplicable,
+    SenseTransferConflict,
     Word,
+    _commute_codes,
+    apply_move_word,
     commute_pair,
 )
 from lagsurf.surfaces import DiskBundle
@@ -384,6 +389,86 @@ def reference_child_producers(events: tuple[FrontEvent, ...]) -> dict:
                 continue
             producers.setdefault(key(child), (concrete, move))
     return producers
+
+
+# -- the two-build rewrite and the re-sliding keys of ``moves``, kept as references
+
+
+def reference_apply_move(diagram: FrontDiagram, move: MoveInstance) -> FrontDiagram:
+    """Apply a move, revalidate, and carry orientations across the rewrite.
+
+    For each component, some cusp survives outside the rewritten window, and
+    a local rewrite cannot change how that cusp is traversed; matching its
+    sense between the old diagram and the (default-oriented) new one
+    recovers the component's orientation sign.
+    """
+    new_events = apply_move_word(diagram.events, move)
+    plain = FrontDiagram(new_events)
+    start = move.site[0]
+    if move.move_id is MoveId.SLIDE:
+        old_len = new_len = 2
+    else:
+        old_len, new_len = map(len, _PATTERNS[move.move_id, move.direction])
+    new_cusps = {c.event: c for c in plain.cusps()}
+    signs = [0] * plain.component_count
+    for cusp in diagram.cusps():
+        if start <= cusp.event < start + old_len:
+            continue
+        target = cusp.event if cusp.event < start else cusp.event + new_len - old_len
+        mirror = new_cusps[target]
+        sign = cusp.sense * mirror.sense
+        if signs[mirror.component] not in (0, sign):
+            raise SenseTransferConflict("sense transfer disagrees")
+        signs[mirror.component] = sign
+    if 0 in signs:
+        raise MoveNotApplicable("a component has no cusp outside the window")
+    return FrontDiagram(new_events, tuple(signs))
+
+
+def _reference_heads(codes: Coded):
+    """Each event that slides can bring to the front of ``codes``.
+
+    Yields its index, its code at the front and the other events after it,
+    in order.  An event can come first iff it slides past every event
+    before it, one at a time.
+    """
+    for k, code in enumerate(codes):
+        passed = []
+        for j in range(k - 1, -1, -1):
+            swapped = _commute_codes(codes[j], code)
+            if swapped is None:
+                break
+            code, moved = swapped
+            passed.append(moved)
+        else:
+            yield k, code, tuple(reversed(passed)) + codes[k + 1 :]
+
+
+def reference_trace_key(codes: Coded) -> tuple[Coded, tuple[int, ...]]:
+    """The least word of the slide class of ``codes`` and its events.
+
+    ``order[t]`` is the index in ``codes`` of the event at place ``t`` of
+    the key.  The key is built one place at a time from the least front
+    code of any event that can come next.  Where events tie on that code,
+    every way of placing them is kept, one state per set of events placed,
+    so ties cost the number of such sets and never a branch per path.
+    """
+    key: list[int] = []
+    # indices of the events still to place -> (order so far, word of the rest)
+    states = {tuple(range(len(codes))): ((), codes)}
+    for _ in codes:
+        best = None
+        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], Coded]] = {}
+        for left, (order, rest) in states.items():
+            for k, front, after in _reference_heads(rest):
+                if best is None or front < best:
+                    best, nxt = front, {}
+                if front == best:
+                    nxt.setdefault(left[:k] + left[k + 1 :], (order + (left[k],), after))
+        key.append(best)
+        states = nxt
+    ((order, _),) = states.values()
+    return tuple(key), order
 
 
 # -- dense all-pairs kernels of ``linking``, kept as references ------------

@@ -1,11 +1,15 @@
+import itertools
 import logging
+import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given
 
 import helpers
 import lagsurf.moves
+from lagsurf.dsl import parse_front
 from lagsurf.fronts import FrontDiagram, FrontError, word
 from lagsurf.moves import (
     BACKWARD,
@@ -18,7 +22,10 @@ from lagsurf.moves import (
     _decode,
     _encode,
     _expansion,
+    _invariant_key,
     _slide_path,
+    _trace,
+    _trace_key,
     align_facing_cusps,
     applicable_moves,
     apply_move,
@@ -219,7 +226,16 @@ def test_equivalence_logs_outcome(caplog):
         with caplog.at_level(logging.DEBUG, logger="lagsurf.moves"):
             equivalent_within(*args, **kwargs)
         (record,) = caplog.records
-        assert record.getMessage().startswith(f"equivalent_within: {message}")
+        text = record.getMessage()
+        assert text.startswith(f"equivalent_within: {message}")
+        assert re.search(r" keys; \d+ slides$", text)
+    # a search of depth 0 keys only its two roots
+    slides = sum(_trace(_encode(d.events))[2] for d in (ZIGZAG, z2))
+    assert slides > 0
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lagsurf.moves"):
+        equivalent_within(ZIGZAG, z2, 0)
+    assert caplog.records[0].getMessage().endswith(f"; 2 keys; {slides} slides")
 
 
 # -- slide classes as traces ---------------------------------------------------
@@ -247,6 +263,61 @@ def test_pattern_table_matches_reference_on_seeded_words(events):
     assert_moves_match_reference(events)
 
 
+def outcome(apply, diagram, move):
+    """The diagram ``apply`` makes, or the type of what it raises."""
+    try:
+        return apply(diagram, move)
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_same_as_rebuilt(diagram):
+    """A diagram sharing a structure reads as one built afresh from its word."""
+    fresh = FrontDiagram(diagram.events, diagram.orientations)
+    assert diagram == fresh
+    assert diagram.classical_invariants() == fresh.classical_invariants()
+    assert diagram.linking_matrix() == fresh.linking_matrix()
+    assert diagram.cusps() == fresh.cusps()
+    assert diagram.crossings() == fresh.crossings()
+
+
+def assert_apply_matches_reference(diagram):
+    n = len(diagram.events)
+    # every move at a few fixed sites, where most of them cannot apply
+    probes = [
+        MoveInstance(move_id, site, direction)
+        for move_id in MoveId
+        for direction in MoveDirection
+        for site in ((0, 1), (n // 2, 2), (n, 0), (-1, 1))
+    ]
+    for move in applicable_moves(diagram) + probes:
+        result = outcome(apply_move, diagram, move)
+        assert result == outcome(helpers.reference_apply_move, diagram, move)
+        if isinstance(result, FrontDiagram):
+            assert_same_as_rebuilt(result)
+    signs = tuple(-o for o in diagram.orientations)
+    assert_same_as_rebuilt(diagram.with_orientations(signs))
+    assert_same_as_rebuilt(diagram.reverse())
+
+
+@pytest.mark.parametrize("events", seeded_words())
+def test_apply_move_matches_reference(events):
+    base = FrontDiagram(events)
+    signs = random.Random(len(events)).choices((1, -1), k=base.component_count)
+    assert_apply_matches_reference(base.with_orientations(signs))
+
+
+@given(helpers.front_diagrams(max_events=10))
+def test_apply_move_matches_reference_on_random_diagrams(diagram):
+    assert_apply_matches_reference(diagram)
+
+
+def test_shared_structure_keeps_sign_checks():
+    for signs in ((1, 1), (2,), ()):
+        with pytest.raises(ValueError):
+            SAUCER.with_orientations(signs)
+
+
 @given(helpers.front_words(max_events=10), helpers.front_words(max_events=10))
 def test_event_codes_keep_order(a, b):
     assert _decode(_encode(a)) == a
@@ -268,6 +339,20 @@ def test_slide_closure_matches_reference(events):
         swapped = commute_pair(events[i], events[i + 1])
         if swapped is not None:
             assert canonical_word(events[:i] + swapped + events[i + 2 :]) == key
+
+
+@pytest.mark.parametrize(
+    "events", seeded_words() + [word("L1 R1 " * k) for k in range(1, 11)]
+)
+def test_trace_key_matches_reference(events):
+    codes = _encode(events)
+    assert _trace_key(codes) == helpers.reference_trace_key(codes)
+
+
+@given(helpers.front_words(max_events=12))
+def test_trace_key_matches_reference_on_random_words(events):
+    codes = _encode(events)
+    assert _trace_key(codes) == helpers.reference_trace_key(codes)
 
 
 def test_key_of_wide_class():
@@ -367,3 +452,40 @@ def test_witness_replay_failure_raises(monkeypatch):
     monkeypatch.setattr(lagsurf.moves, "_slide_path", lambda *args: [])
     with pytest.raises(WitnessReplayError):
         equivalent_within(a, b, depth=1)
+
+
+# Corpus pairs with equal invariant keys, each joined at depth 4.  The
+# three-sum-core pairs with zigzag need 14 moves and take over a second each,
+# so they are left to the benchmark's slow cases.
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
+SLOW_CORPUS_PAIRS = {("three-sum-core", "zigzag"), ("three-sum-core-down", "zigzag")}
+
+
+def corpus_pairs() -> list[tuple[str, str]]:
+    diagrams = {
+        path.stem: parse_front(path.read_text()).to_diagram()
+        for path in CORPUS.glob("*.front")
+    }
+    return [
+        (first, second)
+        for first, second in itertools.combinations(sorted(diagrams), 2)
+        if _invariant_key(diagrams[first]) == _invariant_key(diagrams[second])
+    ]
+
+
+def test_corpus_pairs_are_counted():
+    assert len(corpus_pairs()) == 15
+    assert SLOW_CORPUS_PAIRS <= set(corpus_pairs())
+
+
+@pytest.mark.parametrize(
+    "first, second", [pair for pair in corpus_pairs() if pair not in SLOW_CORPUS_PAIRS]
+)
+def test_corpus_pair_has_depth_four_witness(first, second):
+    f, g = (
+        parse_front((CORPUS / f"{name}.front").read_text()).to_diagram()
+        for name in (first, second)
+    )
+    witness = equivalent_within(f, g, depth=4)
+    assert witness is not None
+    assert replay_moves(f.events, witness) == g.events
