@@ -17,11 +17,14 @@ exactly the classifier's rationally convex set row by row --
 :class:`ClosureMismatch` on any discrepancy, which would indicate a bug in
 one side or the other.
 
-The closure is computed on integers: per row, the Euler numbers and the
-links from the row above.  The bundles, edges and witness paths are built
-from those rows on first read.  A node's witness path from the seed is its
-lexicographically least (vertical before diagonal); replaying it through the
-surface operations reproduces the node's data exactly.
+The closure is computed on integers: each row is the Euler numbers its
+parents offer, in witness order, with each child kept at its first offer
+(``dict.fromkeys``).  The two rules are stated once, in :func:`_offers`,
+which both the row step and the ``links`` view read.  The links, witness
+paths, bundles and edges are built from the rows on first read, and
+:func:`verify_closure` reads the rows alone.  A node's witness path from the
+seed is its lexicographically least (vertical before diagonal); replaying it
+through the surface operations reproduces the node's data exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .classify import rationally_convex_set
 from .surfaces import DiskBundle, SurfaceComplex, euler_number, genus_chain
@@ -40,6 +45,8 @@ class Rule(str, Enum):
 
 
 SEED = DiskBundle(0, -4)
+
+T = TypeVar("T")
 
 
 class ClosureMismatch(Exception):
@@ -53,26 +60,74 @@ class Edge:
     rule: Rule
 
 
+# ``_offers`` entry ``2 * j + r`` is what a row's node ``j`` offers by rule ``_RULES[r]``.
+_RULES = (Rule.VERTICAL, Rule.DIAGONAL)
+
+
+def _offers(chi: int, row: Sequence[int]) -> list[int | None]:
+    """The Euler numbers the nodes of one row offer the next, in witness order.
+
+    Each node (chi, e), taken in row order, offers its vertical child
+    ``e - 2``, then its diagonal child ``e + 2`` while it has a basic cone
+    point left to smooth, ``k = -e - chi >= 1``; a gated diagonal offer is
+    ``None``.
+    """
+    offers: list[int | None] = [None] * (2 * len(row))
+    offers[0::2] = [e - 2 for e in row]
+    offers[1::2] = [e + 2 if -e - chi >= 1 else None for e in row]
+    return offers
+
+
 @dataclass(frozen=True)
 class DerivationGraph:
     """The breadth-first closure down to ``min_chi``, kept as integer rows.
 
-    Row ``i`` is the level chi = -i, for i = 0 .. -min_chi:
+    Row ``i`` is the level chi = -i, for i = 0 .. -min_chi, and ``eulers[i]``
+    holds its Euler numbers in witness order.  Everything else is a view
+    built on first read:
 
-    * ``eulers[i]``: the Euler numbers of the row, in witness order;
     * ``links[i]`` (rows above the last only): one ``(source, target, rule)``
       per edge into row ``i + 1``, in the order the rules were applied, with
       ``source`` a position in ``eulers[i]`` and ``target`` one in
-      ``eulers[i + 1]``.
+      ``eulers[i + 1]``;
+    * ``nodes``, ``edges`` and ``witnesses``, all sharing one
+      :class:`DiskBundle` per node.
 
-    ``nodes``, ``edges`` and ``witnesses`` are views built on first read, all
-    sharing one :class:`DiskBundle` per node.  Build one with
-    :func:`derive_table`.
+    :meth:`fold` walks the witness paths row by row without building them.
+    Build one with :func:`derive_table`.
     """
 
     min_chi: int
     eulers: tuple[tuple[int, ...], ...]
-    links: tuple[tuple[tuple[int, int, Rule], ...], ...]
+
+    @cached_property
+    def links(self) -> tuple[tuple[tuple[int, int, Rule], ...], ...]:
+        links = []
+        for i, (row, below) in enumerate(zip(self.eulers, self.eulers[1:])):
+            position = {e: j for j, e in enumerate(below)}
+            links.append(tuple(
+                (j >> 1, position[child], _RULES[j & 1])
+                for j, child in enumerate(_offers(-i, row))
+                if child is not None
+            ))
+        return tuple(links)
+
+    def fold(self, seed: T, step: Callable[[T, Rule], T]) -> Iterator[list[T]]:
+        """Fold each node's witness path, yielding the values row by row.
+
+        The seed's value is ``seed``, and every other node's is
+        ``step(parent_value, rule)`` for the first parent and rule of its
+        witness; each row's values come in the order of ``eulers``.  Only
+        the row above is held while a row is folded.
+        """
+        values = [seed]
+        yield values
+        for row_links in self.links:
+            parents, values = values, []
+            for source, target, rule in row_links:
+                if target == len(values):
+                    values.append(step(parents[source], rule))
+            yield values
 
     @cached_property
     def _bundles(self) -> tuple[tuple[DiskBundle, ...], ...]:
@@ -83,22 +138,14 @@ class DerivationGraph:
     @cached_property
     def witnesses(self) -> dict[DiskBundle, tuple[Rule, ...]]:
         """Each node's first witness: its first parent's witness plus the rule."""
-        paths: list[tuple[Rule, ...]] = [()]
-        witnesses = {self._bundles[0][0]: ()}
-        for row_links, children in zip(self.links, self._bundles[1:]):
-            parents = paths
-            paths = []
-            for source, target, rule in row_links:
-                if target == len(paths):
-                    paths.append(parents[source] + (rule,))
-            witnesses.update(zip(children, paths))
-        return witnesses
+        paths = self.fold((), lambda path, rule: path + (rule,))
+        return dict(zip(chain.from_iterable(self._bundles), chain.from_iterable(paths)))
 
     @cached_property
     def nodes(self) -> frozenset[DiskBundle]:
         # a set built from a dict is sized and filled as one built from the
         # ``witnesses`` dict, so both iterate in the same order
-        return frozenset(dict.fromkeys(b for row in self._bundles for b in row))
+        return frozenset(dict.fromkeys(chain.from_iterable(self._bundles)))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -133,27 +180,19 @@ def derive_table(min_chi: int = -5) -> DerivationGraph:
 
     Each child keeps the first witness that reaches it, which is its least.
     Every witness in a row has the same length, and a row's nodes are kept
-    in increasing witness order; each parent, taken in that order, offers
-    vertical before diagonal, so the candidates for the next row arrive in
-    increasing order and its nodes are kept in increasing witness order too.
-    A child's position in its row is the order in which it is first reached.
+    in increasing witness order; :func:`_offers` takes the parents in that
+    order, vertical before diagonal, so the children of the next row are
+    offered in increasing witness order and keeping each one's first offer
+    keeps that order too.
     """
     if min_chi > 0:
         raise ValueError("min_chi must be <= 0")
     eulers = [(SEED.euler,)]
-    links = []
     for chi in range(0, min_chi, -1):
-        positions: dict[int, int] = {}
-        row_links = []
-        for source, e in enumerate(eulers[-1]):
-            vertical = positions.setdefault(e - 2, len(positions))
-            row_links.append((source, vertical, Rule.VERTICAL))
-            if -e - chi >= 1:
-                diagonal = positions.setdefault(e + 2, len(positions))
-                row_links.append((source, diagonal, Rule.DIAGONAL))
-        eulers.append(tuple(positions))
-        links.append(tuple(row_links))
-    return DerivationGraph(min_chi, tuple(eulers), tuple(links))
+        children = dict.fromkeys(_offers(chi, eulers[-1]))
+        children.pop(None, None)
+        eulers.append(tuple(children))
+    return DerivationGraph(min_chi, tuple(eulers))
 
 
 @dataclass(frozen=True)
@@ -167,8 +206,8 @@ def verify_closure(min_chi: int = -12) -> ClosureReport:
     """Assert the derived closure equals the classifier, row by row."""
     graph = derive_table(min_chi)
     rows = []
-    for chi in range(0, min_chi - 1, -1):
-        derived = set(graph.row(chi))
+    for chi, row in zip(range(0, min_chi - 1, -1), graph.eulers):
+        derived = set(row)
         expected = rationally_convex_set(chi, orientable=False)
         if derived != expected:
             raise ClosureMismatch(

@@ -11,9 +11,10 @@ import pytest
 
 import lagsurf.cli
 import lagsurf.linking
-from lagsurf.cli import main, run_surface_script, witness_script
+from helpers import reference_derive_table
+from lagsurf.cli import _parser, main, run_surface_script, witness_script
 from lagsurf.surfaces import euler_number
-from lagsurf.table import derive_table
+from lagsurf.table import Rule, derive_table
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -222,6 +223,58 @@ def test_table_json_witnesses_are_runnable(capsys):
         assert surface.chi == entry["chi"]
         assert euler_number(surface) == entry["euler"]
         assert not surface.orientable
+
+
+# the script line of each rule, stated apart from lagsurf.cli
+RULE_LINES = {Rule.VERTICAL: "glue3", Rule.DIAGONAL: "smooth 0"}
+
+
+@pytest.mark.parametrize("min_chi", [0, -1, -5, -40])
+def test_table_output_matches_the_reference_closure(capsys, min_chi):
+    # the JSON writer skips the encoder, so it must match it byte for byte;
+    # at -200 the stdlib encoder alone takes about 2 s
+    nodes, _, witnesses = reference_derive_table(min_chi)
+    rows = [
+        (chi, sorted(n.euler for n in nodes if n.chi == chi))
+        for chi in range(0, min_chi - 1, -1)
+    ]
+    payload = {
+        "schema": 1,
+        "min_chi": min_chi,
+        "rows": [{"chi": chi, "euler": euler} for chi, euler in rows],
+        "witnesses": [
+            {
+                "chi": node.chi,
+                "euler": node.euler,
+                "script": ["klein"] + [RULE_LINES[rule] for rule in witnesses[node]],
+            }
+            for node in sorted(nodes, key=lambda n: (-n.chi, n.euler))
+        ],
+    }
+    code, out, _ = run(capsys, "table", "--min-chi", str(min_chi), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    code, out, _ = run(capsys, "table", "--min-chi", str(min_chi))
+    assert code == 0
+    assert out == "".join(f"chi {chi:>3}: {' '.join(map(str, euler))}\n" for chi, euler in rows)
+
+
+def test_table_min_chi_below_the_floor_is_a_usage_error():
+    # the closure holds about 0.38 chi^2 nodes; at -10^8 --check printed
+    # nothing within a minute
+    assert _parser().parse_args(["table", "--min-chi", "-2000"]).min_chi == -2000
+    src = str(pathlib.Path(lagsurf.cli.__file__).parents[1])
+    for value in ("-2001", "-100000000"):
+        done = subprocess.run(
+            [sys.executable, "-m", "lagsurf.cli", "table", "--check", "--min-chi", value],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines()[-1] == (
+            f"lagsurf table: error: argument --min-chi: must be at least -2000, got {value}"
+        )
 
 
 def test_witness_script_matches_graph():
