@@ -10,7 +10,13 @@ reported as an ``error:`` line with exit status 1.
 import argparse
 import sys
 
-from lagsurf.cli import main as cli_main, run_surface_script, witness_script
+from lagsurf.cli import (
+    _TABLE_MIN_CHI,
+    _int_at_least,
+    main as cli_main,
+    run_surface_script,
+    witness_script,
+)
 from lagsurf.surfaces import euler_number
 from lagsurf.table import derive_table, verify_closure
 
@@ -19,8 +25,8 @@ def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-chi", type=int, default=-5)
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--deep-check", type=int, default=-12,
-                        help="extra closure verification depth")
+    parser.add_argument("--deep-check", type=_int_at_least(_TABLE_MIN_CHI), default=-12,
+                        help=f"extra closure verification depth, at least {_TABLE_MIN_CHI}")
     args = parser.parse_args(argv)
 
     code = cli_main(["table", "--min-chi", str(args.min_chi), "--format", args.format])

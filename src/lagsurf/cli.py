@@ -148,7 +148,15 @@ def _moves_equiv(args) -> int:
 # -- surface scripts -----------------------------------------------------
 
 
-def _script_int(token: str, lineno: int) -> int:
+def _script_token(tokens: list[str], k: int, lineno: int) -> str:
+    """Token ``k`` of a script line: the verb at 0, then its arguments."""
+    if k < len(tokens):
+        return tokens[k]
+    raise ValueError(f"script line {lineno}: {tokens[0]} is missing arguments")
+
+
+def _script_int(tokens: list[str], k: int, lineno: int) -> int:
+    token = _script_token(tokens, k, lineno)
     try:
         return int(token)
     except ValueError:
@@ -163,7 +171,7 @@ def run_surface_script(text: str) -> SurfaceComplex:
         tokens = (raw[:cut] if cut >= 0 else raw).split()
         if not tokens:
             continue
-        verb, rest = tokens[0], tokens[1:]
+        verb = tokens[0]
         try:
             if verb in ("klein", "genus", "piece"):
                 if surface is not None:
@@ -171,35 +179,34 @@ def run_surface_script(text: str) -> SurfaceComplex:
                 if verb == "klein":
                     surface = klein_base()
                 elif verb == "genus":
-                    surface = genus_chain(_script_int(rest[0], lineno))
+                    surface = genus_chain(_script_int(tokens, 1, lineno))
                 else:
-                    if rest[0] not in _PIECE_RECIPES:
+                    name = _script_token(tokens, 1, lineno)
+                    if name not in _PIECE_RECIPES:
                         raise ValueError(
-                            f"unknown piece {rest[0]!r}; have {sorted(_PIECE_RECIPES)}"
+                            f"unknown piece {name!r}; have {sorted(_PIECE_RECIPES)}"
                         )
-                    surface = _build_piece(*_PIECE_RECIPES[rest[0]])
+                    surface = _build_piece(*_PIECE_RECIPES[name])
                 continue
             if surface is None:
                 raise ValueError("script must start with klein, genus, or piece")
             if verb == "split":
-                surface = split_cone(surface, _script_int(rest[0], lineno))
+                surface = split_cone(surface, _script_int(tokens, 1, lineno))
             elif verb == "smooth":
-                surface = mobius_smoothing(surface, _script_int(rest[0], lineno))
+                surface = mobius_smoothing(surface, _script_int(tokens, 1, lineno))
             elif verb == "glue3":
                 surface = glue_mobius_three_umbrellas(surface)
             elif verb == "mark":
-                surface = mark_umbrella(surface, _script_int(rest[0], lineno))
+                surface = mark_umbrella(surface, _script_int(tokens, 1, lineno))
             elif verb == "cap":
-                model = FrontDiagram(word(" ".join(rest[1:])))
-                surface = cone_cap(surface, _script_int(rest[0], lineno), model)
+                model = FrontDiagram(word(" ".join(tokens[2:])))
+                surface = cone_cap(surface, _script_int(tokens, 1, lineno), model)
             elif verb == "handle":
                 surface = one_handle(
-                    surface, _script_int(rest[0], lineno), _script_int(rest[1], lineno)
+                    surface, _script_int(tokens, 1, lineno), _script_int(tokens, 2, lineno)
                 )
             else:
                 raise ValueError(f"unknown verb {verb!r}")
-        except IndexError:
-            raise ValueError(f"script line {lineno}: {verb} is missing arguments")
         except (FrontError, SurfaceError) as err:
             raise type(err)(f"script line {lineno}: {err}") from err
     if surface is None:
@@ -304,9 +311,16 @@ def _write_table_json(graph) -> None:
 # The lowest --min-chi: the closure grows as chi squared, and below this
 # ``table --check`` no longer answers within seconds.
 _TABLE_MIN_CHI = -2000
+# The lowest --min-chi of ``--format json``: its witness scripts grow as chi
+# cubed, 38.8 MB at -200 and 300 MB here.
+_TABLE_JSON_MIN_CHI = -400
 
 
 def _table(args) -> int:
+    if args.format == "json" and args.min_chi < _TABLE_JSON_MIN_CHI:
+        args.usage_error(
+            f"--format json needs --min-chi at least {_TABLE_JSON_MIN_CHI}, got {args.min_chi}"
+        )
     graph = derive_table(args.min_chi)
     if args.format == "json":
         _write_table_json(graph)
@@ -496,10 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-chi", type=_int_at_least(_TABLE_MIN_CHI), default=-5,
                    help=f"lowest chi level, at least {_TABLE_MIN_CHI}; the closure "
                    "holds about 0.38*chi^2 nodes, 1,504,001 there (default -5)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help=f"json needs --min-chi at least {_TABLE_JSON_MIN_CHI}: its witness "
+                   "scripts grow as chi^3, 300 MB there (default text)")
     p.add_argument("--check", action="store_true",
                    help="verify the closure against the classifier instead")
-    p.set_defaults(handler=lambda args: _table_check(args) if args.check else _table(args))
+    p.set_defaults(handler=lambda args: _table_check(args) if args.check else _table(args),
+                   usage_error=p.error)
 
     p = sub.add_parser("verify", help="numeric residual checks")
     p.add_argument("family", choices=("strip", "cone", "umbrella", "curve", "convergence"))

@@ -45,23 +45,14 @@ _VIEW_SEEDS = (0.0, 0.37, 0.71, 1.13, 1.62, 2.31)
 _TILE_ELEMENTS = 1 << 16
 _CHUNK = 1 << 16
 
-# Offsets on the first three of four cell axes: (0, 0, 0) and the 13
-# lexicographically positive ones.  A probe of a positive row spans offsets
-# -1, 0, +1 on the last axis (39 neighbours); a probe of (0, 0, 0) spans 0
-# and +1 (the sample's own cell and the 40th neighbour).
-_POSITIVE_ROWS = [row for row in itertools.product((-1, 0, 1), repeat=3) if row >= (0, 0, 0)]
-
 
 def _require_embedded(curve: np.ndarray) -> None:
     """Reject sample sets whose non-neighbours collide at sample resolution.
 
-    A self-join on a grid of cells a hair over ``threshold`` wide: a pair
-    closer than ``threshold`` sits in the same cell or in neighbouring ones.
-    Each sample is keyed once and the keys are sorted; every sample probes
-    its own cell and the 40 lexicographically positive neighbour offsets,
-    three consecutive keys along the last axis per probe, and the exact 4-D
-    distances of the pairs found are compared.  A non-finite sample makes
-    the threshold non-finite, and then no pair is compared.
+    A self-join of the samples at ``threshold``, half the longest step: the
+    pairs :func:`_near_pairs` finds that are more than two steps apart along
+    the curve get their exact 4-D distances compared with it.  A non-finite
+    sample makes the threshold non-finite, and then no pair is compared.
     """
     n = len(curve)
     if n < 8:
@@ -70,38 +61,71 @@ def _require_embedded(curve: np.ndarray) -> None:
     threshold = 0.5 * float(np.max(gaps))
     if not math.isfinite(threshold):
         return
-    origin = curve.min(0)
-    span = float(np.max(curve.max(0) - origin))
-    # a hair over threshold, so rounding cannot put a pair at distance just
-    # under it two cells apart; at most 2**15 cells per axis, so the int64
-    # key of the 4-D grid cannot overflow
-    cell = max(threshold * (1.0 + 1e-6), span / 2.0**15)
+    for i, j in _near_pairs(curve, curve, threshold, self_join=True):
+        band = np.abs(i - j)
+        band = np.minimum(band, n - band)
+        i, j = i[band > 2], j[band > 2]
+        dist = np.linalg.norm(curve[i] - curve[j], axis=-1)
+        if dist.size and float(np.min(dist)) < threshold:
+            raise SelfIntersectingSamples(
+                "non-adjacent samples closer than half a sample step"
+            )
+
+
+def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = False):
+    """Yield index arrays ``(i, j)`` of rows of ``a`` and ``b`` in neighbouring cells.
+
+    A join on a grid of cells a hair over ``reach`` wide, so a pair of rows
+    within ``reach`` on every axis sits in the same cell or in neighbouring
+    ones and comes exactly once; pairs somewhat farther apart come too, and
+    callers test each pair exactly.  Every row is keyed once and ``b``'s
+    keys are sorted; a row probes the 3**(d-1) rows of cells around its
+    own, three consecutive keys along the last axis per probe.  With
+    ``self_join`` (``b`` is ``a``) a row probes its own cell from the next
+    row on and the lexicographically positive rows of cells only, so each
+    unordered pair comes once and no row meets itself.  Rows with a
+    non-finite entry meet nothing.  Pairs come in chunks of at most
+    ``_CHUNK``, so memory stays bounded when many rows share a cell.
+    """
+    dim = a.shape[1]
+    rows_a = np.flatnonzero(np.isfinite(a).all(1))
+    rows_b = rows_a if self_join else np.flatnonzero(np.isfinite(b).all(1))
+    if rows_a.size == 0 or rows_b.size == 0:
+        return
+    a = a[rows_a]
+    b = a if self_join else b[rows_b]
+    both = (a,) if self_join else (a, b)
+    origin = np.min([rows.min(0) for rows in both], axis=0)
+    span = float(np.max(np.max([rows.max(0) for rows in both], axis=0) - origin))
+    # a hair over reach, so rounding cannot put a pair within reach two cells
+    # apart; at most 2**15 cells per axis keeps that rounding far under the
+    # hair, and 2**(60 // dim) keeps the int64 key from overflowing
+    cell = max(reach * (1.0 + 1e-6), span / 2.0 ** min(15, 60 // dim))
     if not cell > 0:
         cell = 1.0
     # one empty cell on each side, so a probe one cell out never wraps
-    coords = np.floor((curve - origin) / cell).astype(np.int64) + 1
-    stride = np.ones(4, dtype=np.int64)
-    for axis in range(2, -1, -1):
-        stride[axis] = stride[axis + 1] * (int(coords[:, axis + 1].max()) + 2)
-    key = coords @ stride
+    stride = (int(span / cell) + 3) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+
+    def keys(rows):
+        return (np.floor((rows - origin) / cell).astype(np.int64) + 1) @ stride
+
+    key = keys(b)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    following = np.arange(1, len(key) + 1)
-    for offset in _POSITIVE_ROWS:
-        base = key + int(np.dot(offset, stride[:3]))
-        # row (0, 0, 0) takes its own cell from the next sample on, then +1
-        start = following if not any(offset) else np.searchsorted(key, base - 1)
+    target = rows_b[order]
+    probe, source = (key, target) if self_join else (keys(a), rows_a)
+    for row in itertools.product((-1, 0, 1), repeat=dim - 1):
+        if self_join and row < (0,) * (dim - 1):
+            continue
+        base = probe + int(np.dot(row, stride[:-1]))
+        if self_join and not any(row):
+            # the own cell from the next row on, then the cell after it
+            start = np.arange(1, len(key) + 1)
+        else:
+            start = np.searchsorted(key, base - 1)
         stop = np.searchsorted(key, base + 1, side="right")
         for owner, index in _ranges(start, stop - start):
-            i, j = order[owner], order[index]
-            band = np.abs(i - j)
-            band = np.minimum(band, n - band)
-            i, j = i[band > 2], j[band > 2]
-            dist = np.linalg.norm(curve[i] - curve[j], axis=-1)
-            if dist.size and float(np.min(dist)) < threshold:
-                raise SelfIntersectingSamples(
-                    "non-adjacent samples closer than half a sample step"
-                )
+            yield source[owner], target[index]
 
 
 def _ranges(start: np.ndarray, count: np.ndarray):
@@ -193,66 +217,20 @@ def _crossing_scale(da: np.ndarray, db: np.ndarray) -> float:
 def _overlapping_boxes(lo_a, hi_a, lo_b, hi_b):
     """Yield index arrays ``(i, j)`` of every pair of overlapping closed boxes.
 
-    Boxes are rows of ``lo``/``hi`` in any dimension.  Each box is entered in
-    the cells of a uniform grid that it touches; a pair is reported once, from
-    the cell holding the low corner of the boxes' intersection, and only if
-    the boxes really overlap.  Cells are as wide as the widest box, so a box
-    touches at most two cells per axis.  Pairs come in chunks of at most
-    ``_CHUNK`` so memory stays bounded when many boxes share a cell.  Boxes
-    with a non-finite corner meet nothing.
+    Boxes are rows of ``lo``/``hi`` in any dimension.  The low corners of two
+    overlapping boxes lie within the wider box's width on every axis, so the
+    pairs are :func:`_near_pairs` of the low corners at the widest finite
+    box, kept only if the boxes really overlap; each comes once.  Boxes with
+    a non-finite corner meet nothing.
     """
-    dim = lo_a.shape[1]
-    finite_a = np.flatnonzero(np.isfinite(lo_a).all(1) & np.isfinite(hi_a).all(1))
-    finite_b = np.flatnonzero(np.isfinite(lo_b).all(1) & np.isfinite(hi_b).all(1))
-    if finite_a.size == 0 or finite_b.size == 0:
-        return
-    lo_a, hi_a = lo_a[finite_a], hi_a[finite_a]
-    lo_b, hi_b = lo_b[finite_b], hi_b[finite_b]
-    origin = np.minimum(lo_a.min(0), lo_b.min(0))
-    span = float(np.max(np.maximum(hi_a.max(0), hi_b.max(0)) - origin))
-    widest = float(max(np.max(hi_a - lo_a), np.max(hi_b - lo_b)))
-    # at most 2**(62 // dim) cells per axis, so the int64 cell key cannot overflow
-    cell = max(widest, span / 2.0 ** (62 // dim))
-    if not cell > 0:
-        cell = 1.0
-
-    def cells(lo, hi):
-        first = np.floor((lo - origin) / cell).astype(np.int64)
-        last = np.floor((hi - origin) / cell).astype(np.int64)
-        return first, last
-
-    first_a, last_a = cells(lo_a, hi_a)
-    first_b, last_b = cells(lo_b, hi_b)
-    stride = np.ones(dim, dtype=np.int64)
-    for axis in range(dim - 2, -1, -1):
-        top = max(int(last_a[:, axis + 1].max()), int(last_b[:, axis + 1].max()))
-        stride[axis] = stride[axis + 1] * (top + 1)
-
-    def entries(first, last):
-        """(box, cell key) for every cell each box touches."""
-        width = last - first + 1
-        count = np.prod(width, axis=1)
-        box = np.repeat(np.arange(len(first)), count)
-        rank = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
-        key = np.zeros(len(box), dtype=np.int64)
-        for axis in range(dim - 1, -1, -1):
-            w = width[box, axis]
-            key += (first[box, axis] + rank % w) * stride[axis]
-            rank //= w
-        return box, key
-
-    box_a, key_a = entries(first_a, last_a)
-    box_b, key_b = entries(first_b, last_b)
-    order = np.argsort(key_b, kind="stable")
-    box_b, key_b = box_b[order], key_b[order]
-    start = np.searchsorted(key_b, key_a, side="left")
-    count = np.searchsorted(key_b, key_a, side="right") - start
-    for entry, index in _ranges(start, count):
-        i, j = box_a[entry], box_b[index]
+    widths = np.concatenate([hi_a - lo_a, hi_b - lo_b])
+    reach = float(np.max(widths, initial=0.0, where=np.isfinite(widths)))
+    # a non-finite high corner leaves out its box, as a non-finite low one does
+    corner_a = np.where(np.isfinite(hi_a).all(1, keepdims=True), lo_a, np.nan)
+    corner_b = np.where(np.isfinite(hi_b).all(1, keepdims=True), lo_b, np.nan)
+    for i, j in _near_pairs(corner_a, corner_b, reach):
         meet = np.all((lo_a[i] <= hi_b[j]) & (lo_b[j] <= hi_a[i]), axis=1)
-        corner = np.maximum(first_a[i], first_b[j]) @ stride
-        once = meet & (corner == key_a[entry])
-        yield finite_a[i[once]], finite_b[j[once]]
+        yield i[meet], j[meet]
 
 
 def reeb_pushoff(curve: np.ndarray, epsilon: float) -> np.ndarray:

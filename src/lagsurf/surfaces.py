@@ -60,6 +60,14 @@ class NotBasicSingularity(SurfaceError):
     """Operation needs a cone point with tb = -2."""
 
 
+class NoConePoint(NotBasicSingularity):
+    """The index names no cone point of the complex, so no basic one either."""
+
+
+class NoBoundaryComponent(SurfaceError):
+    """The index names no component of the boundary front."""
+
+
 def _unknot_range(tb: int, rot: int) -> bool:
     return tb <= -1 and abs(rot) <= -tb - 1 and (rot - tb - 1) % 2 == 0
 
@@ -155,7 +163,7 @@ def cone_cap(s: SurfaceComplex, boundary_index: int, model: FrontDiagram) -> Sur
         )
     invariants = s.boundary.classical_invariants()
     if not 0 <= boundary_index < len(invariants):
-        raise IndexError(f"no boundary component {boundary_index}")
+        raise NoBoundaryComponent(f"no boundary component {boundary_index}")
     tb, rot = invariants[boundary_index]
     if (tb, abs(rot)) != (model_tb, abs(model_rot)):
         raise BoundaryNotUnknotCompatible(
@@ -176,6 +184,13 @@ def cone_cap(s: SurfaceComplex, boundary_index: int, model: FrontDiagram) -> Sur
     )
 
 
+def _cone_point(s: SurfaceComplex, singularity_index: int) -> Singularity:
+    """The cone point at ``singularity_index``; negative indices name none."""
+    if not 0 <= singularity_index < len(s.singularities):
+        raise NoConePoint(f"no cone point {singularity_index}")
+    return s.singularities[singularity_index]
+
+
 def split_cone(s: SurfaceComplex, singularity_index: int) -> SurfaceComplex:
     """Replace one cone point of tb = -1-n by n basic cone points.
 
@@ -183,7 +198,7 @@ def split_cone(s: SurfaceComplex, singularity_index: int) -> SurfaceComplex:
     else changes, and the Euler number is preserved since each contributes
     tb + 1 = -1.
     """
-    sing = s.singularities[singularity_index]
+    sing = _cone_point(s, singularity_index)
     if sing.model_tb == -1:
         raise TrivialCone("tb = -1 cone is a smooth point")
     if sing.model_tb == -2:
@@ -208,7 +223,7 @@ def split_cone(s: SurfaceComplex, singularity_index: int) -> SurfaceComplex:
 
 def mark_umbrella(s: SurfaceComplex, singularity_index: int, umbrella: bool = True) -> SurfaceComplex:
     """Toggle the umbrella presentation flag on a basic cone point."""
-    sing = s.singularities[singularity_index]
+    sing = _cone_point(s, singularity_index)
     if sing.model_tb != -2:
         raise NotBasicSingularity("only basic cone points have an umbrella form")
     sings = list(s.singularities)
@@ -295,9 +310,7 @@ def mobius_smoothing(s: SurfaceComplex, singularity_index: int) -> SurfaceComple
     """
     if s.orientable:
         raise OrientableSurface("smoothing needs a one-sided surface")
-    if not 0 <= singularity_index < len(s.singularities):
-        raise NotBasicSingularity(f"no cone point {singularity_index}")
-    sing = s.singularities[singularity_index]
+    sing = _cone_point(s, singularity_index)
     if sing.model_tb != -2:
         raise NotBasicSingularity("smoothing needs a basic cone point")
     sings = (

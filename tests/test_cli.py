@@ -171,6 +171,30 @@ def test_surface_script_rejections(capsys, tmp_path, lines):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("klein\nsplit 99\n", "script line 2: no cone point 99"),
+        ("klein\nsplit -1\n", "script line 2: no cone point -1"),
+        ("klein\nmark 99\n", "script line 2: no cone point 99"),
+        ("klein\nmark -1\n", "script line 2: no cone point -1"),
+        ("klein\ncap 5 L1 R1\n", "script line 2: no boundary component 5"),
+        ("klein\ncap -1 L1 R1\n", "script line 2: no boundary component -1"),
+        ("klein\nmark\n", "script line 2: mark is missing arguments"),
+        ("klein\nhandle 1\n", "script line 2: handle is missing arguments"),
+    ],
+)
+def test_surface_script_index_errors(capsys, tmp_path, lines, message):
+    # an index out of range is named as such, never as a missing argument,
+    # and a negative one never counts from the end
+    script = tmp_path / "bad.surf"
+    script.write_text(lines)
+    code, out, err = run(capsys, "surface", "build", str(script))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_classify_spotlights(capsys):
     code, out, _ = run(capsys, "classify", "--chi", "0", "--euler", "0")
     assert code == 0
@@ -275,6 +299,26 @@ def test_table_min_chi_below_the_floor_is_a_usage_error():
         assert done.stderr.splitlines()[-1] == (
             f"lagsurf table: error: argument --min-chi: must be at least -2000, got {value}"
         )
+
+
+def test_table_json_below_its_floor_is_a_usage_error(capsys):
+    # the witness scripts grow as chi^3: 300 MB at -400, about 37 GB at -2000
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--format", "json", "--min-chi", "-401"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert err.splitlines()[-1] == (
+        "lagsurf table: error: --format json needs --min-chi at least -400, got -401"
+    )
+    # text output and --check keep the floor of -2000
+    code, out, _ = run(capsys, "table", "--min-chi", "-401")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("chi -401: -806 -802 ")
+    code, out, _ = run(capsys, "table", "--check", "--format", "json", "--min-chi", "-401")
+    assert code == 0
+    assert out.startswith("closure verified to chi -401: ")
 
 
 def test_witness_script_matches_graph():

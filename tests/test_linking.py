@@ -24,6 +24,7 @@ from lagsurf.linking import (
     _choose_pole,
     _convex_hull,
     _crossing_scale,
+    _near_pairs,
     _overlapping_boxes,
     _planar_crossings,
     _require_embedded,
@@ -407,6 +408,8 @@ def test_oracles_run_in_bounded_memory():
 def test_embeddedness_check_runs_in_bounded_memory():
     curve = boundary_curve(np.linspace(0.0, 2 * math.pi, 100_000, endpoint=False))
     assert peak_mib(_require_embedded, curve) < 32
+    # the N = 10**5 target of the framing oracle: under 64 MiB
+    assert peak_mib(contact_framing, curve) < 64
 
 
 def test_overlapping_boxes_match_a_scan():
@@ -431,3 +434,45 @@ def test_overlapping_boxes_match_a_scan():
             if np.all(lo_a[i] <= hi_b[j]) and np.all(lo_b[j] <= hi_a[i])
         ]
         assert found == scan
+
+
+def test_near_pairs_match_a_scan():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        dim, self_join, case = 1 + trial % 4, trial % 8 >= 4, trial // 8 % 5
+        na, nb = (int(k) for k in rng.integers(1, 40, 2))
+        a, b = rng.standard_normal((na, dim)), rng.standard_normal((nb, dim))
+        reach = float(rng.exponential(0.5))
+        if case == 1:  # rows with a non-finite entry meet nothing
+            a[0, -1], b[-1, 0] = np.nan, np.inf
+        elif case == 2:  # coincident rows, and pairs exactly at reach
+            a, b = (rng.integers(-9, 10, (n, dim)) * 0.1 for n in (na, nb))
+            reach = 0.1
+        elif case == 3:  # every row equal: the span is 0
+            a, b = np.full((na, dim), 0.25), np.full((nb, dim), 0.25)
+        elif case == 4:  # reach 0 meets coincident rows only
+            a, b = (rng.integers(-2, 3, (n, dim)) * 0.5 for n in (na, nb))
+            reach = 0.0
+        if self_join:
+            b = a
+        found = [
+            (int(i), int(j))
+            for ia, ib in _near_pairs(a, b, reach, self_join)
+            for i, j in zip(ia, ib)
+        ]
+        assert len(set(found)) == len(found)
+        finite_a, finite_b = np.isfinite(a).all(1), np.isfinite(b).all(1)
+        assert all(finite_a[i] and finite_b[j] for i, j in found)
+        near = {
+            (i, j)
+            for i in range(len(a))
+            for j in range(len(b))
+            if finite_a[i] and finite_b[j] and np.all(np.abs(a[i] - b[j]) <= reach)
+        }
+        if self_join:
+            assert all(i != j for i, j in found)
+            unordered = {(min(i, j), max(i, j)) for i, j in found}
+            assert len(unordered) == len(found)
+            assert unordered >= {(i, j) for i, j in near if i < j}
+        else:
+            assert set(found) >= near

@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 
+import pytest
+
 from lagsurf.dsl import parse_front
 from lagsurf.render import render_svg
 
@@ -39,6 +41,19 @@ def test_regenerate_table_reports_a_bad_witness(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: witness for (chi, e) = (0, -4) replays to (0, 99)")
+
+
+def test_regenerate_table_deep_check_below_the_floor_is_a_usage_error(capsys):
+    # the closure holds about 0.38 chi^2 nodes; at -10^8 the check never ends
+    for value in ("-2001", "-100000000"):
+        with pytest.raises(SystemExit) as exc:
+            load_script("regenerate_table").run(["--deep-check", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"error: argument --deep-check: must be at least -2000, got {value}"
+        )
 
 
 def test_render_corpus(tmp_path, capsys):

@@ -11,6 +11,8 @@ from lagsurf.surfaces import (
     CuspsNotInwardFacing,
     DiskBundle,
     InvalidWitness,
+    NoBoundaryComponent,
+    NoConePoint,
     NotBasicSingularity,
     OpenBoundary,
     OrientableSurface,
@@ -135,6 +137,19 @@ def test_cone_cap_mismatch():
         cone_cap(hopf_piece, 0, TRIVIAL)  # linked boundary component
     with pytest.raises(BoundaryNotUnknotCompatible):
         cone_cap(disk, 0, FrontDiagram.from_word("L1 R1 L1 R1"))  # not a knot
+
+
+def test_indices_out_of_range_are_typed():
+    # negative indices name no cone point or component: none counts from the end
+    k = klein_base()
+    for operation in (split_cone, mark_umbrella, mobius_smoothing):
+        for index in (-1, len(k.singularities)):
+            with pytest.raises(NoConePoint, match=f"no cone point {index}"):
+                operation(k, index)
+    disk = SurfaceComplex(1, True, TRIVIAL)
+    for index in (-1, 1):
+        with pytest.raises(NoBoundaryComponent, match=f"no boundary component {index}"):
+            cone_cap(disk, index, TRIVIAL)
 
 
 def test_cone_cap_closes_catalog_pieces():
