@@ -62,7 +62,7 @@ class FrontDocument:
                     f"but there are {len(signs)}"
                 )
             signs[component] = sign
-        return FrontDiagram(self.events, tuple(signs))
+        return plain.with_orientations(signs)
 
 
 def _tokens(line: str):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class EventKind(str, Enum):
@@ -149,13 +149,18 @@ class CrossingInfo:
 _LEFT, _CROSSING = EventKind.LEFT_CUSP, EventKind.CROSSING
 
 
+def _linking(pairs: list[list[int]], i: int, j: int) -> int:
+    """lk(i, j): half the signed sum of the crossings between components i and j."""
+    total = pairs[min(i, j)][max(i, j)]
+    if total % 2:
+        raise OddCrossingSum(f"components {i} and {j}: odd crossing sum {total}")
+    return total // 2
+
+
 class _Structure:
     """Arc/cusp/crossing combinatorics of a validated word (orientation-free)."""
 
     __slots__ = (
-        "arc_count",
-        "births",
-        "deaths",
         "cusps",
         "crossings",
         "component_of",
@@ -226,9 +231,6 @@ class _Structure:
                     break
             components.append(tuple(members))
 
-        self.arc_count = arc_count
-        self.births = tuple(births)
-        self.deaths = tuple(deaths)
         self.cusps = tuple(cusps)
         self.crossings = tuple(crossings)
         self.component_of = tuple(component_of)
@@ -334,36 +336,52 @@ class FrontDiagram:
         s = self._structure
         return s.walk_dir[arc] * self.orientations[s.component_of[arc]]
 
+    def _senses(self) -> list[int]:
+        """Each cusp's traversal sense under the orientation (+1 down, -1 up)."""
+        s, o = self._structure, self.orientations
+        comp = s.component_of
+        return [sense * o[comp[c[2]]] for c, sense in zip(s.cusps, s.cusp_sense)]
+
+    def _crossing_signs(self) -> list[int]:
+        """Each crossing's sign: the product of its two arcs' directions."""
+        d = self.arc_direction
+        return [d(a) * d(b) for _, a, b in self._structure.crossings]
+
     def cusps(self) -> tuple[CuspInfo, ...]:
-        s = self._structure
+        comp = self._structure.component_of
         return tuple(
-            CuspInfo(
-                event=event,
-                kind=kind,
-                upper=upper,
-                lower=lower,
-                component=s.component_of[upper],
-                sense=s.cusp_sense[i] * self.orientations[s.component_of[upper]],
-            )
-            for i, (event, kind, upper, lower) in enumerate(s.cusps)
+            CuspInfo(*cusp, comp[cusp[2]], sense)
+            for cusp, sense in zip(self._structure.cusps, self._senses())
         )
 
     def crossings(self) -> tuple[CrossingInfo, ...]:
-        return tuple(
-            CrossingInfo(
-                event=event,
-                over=over,
-                under=under,
-                sign=self.arc_direction(over) * self.arc_direction(under),
-            )
-            for event, over, under in self._structure.crossings
-        )
+        signed = zip(self._structure.crossings, self._crossing_signs())
+        return tuple(CrossingInfo(*crossing, sign) for crossing, sign in signed)
 
     # -- classical invariants --------------------------------------------
 
+    def _tally(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """Signed crossing sums per component pair, cusp counts and sense sums.
+
+        ``pairs[i][j]`` (i <= j) sums the crossings between components i and
+        j, so ``pairs[c][c]`` is c's writhe.  A component alternates arcs and
+        cusps, so its cusp count is its arc count.
+        """
+        s = self._structure
+        comp = s.component_of
+        n = len(s.components)
+        pairs = [[0] * n for _ in range(n)]
+        for (_, a, b), sign in zip(s.crossings, self._crossing_signs()):
+            i, j = comp[a], comp[b]
+            pairs[min(i, j)][max(i, j)] += sign
+        senses = [0] * n
+        for cusp, sense in zip(s.cusps, self._senses()):
+            senses[comp[cusp[2]]] += sense
+        return pairs, [len(arcs) for arcs in s.components], senses
+
     def writhe(self) -> int:
         """Signed crossing count of the whole diagram (all components)."""
-        return sum(c.sign for c in self.crossings())
+        return sum(self._crossing_signs())
 
     def _require_knot(self) -> None:
         if self.component_count != 1:
@@ -373,52 +391,35 @@ class FrontDiagram:
 
     def thurston_bennequin(self) -> int:
         self._require_knot()
-        return self.writhe() - len(self._structure.cusps) // 2
+        ((tb, _),) = self.classical_invariants()
+        return tb
 
     def rotation_number(self) -> int:
         self._require_knot()
-        total = sum(c.sense for c in self.cusps())
-        return total // 2
+        ((_, rot),) = self.classical_invariants()
+        return rot
 
     def classical_invariants(self) -> tuple[tuple[int, int], ...]:
         """Per-component ``(tb, rot)``, using each component's own crossings."""
-        s = self._structure
-        ncomp = len(s.components)
-        self_writhe = [0] * ncomp
-        cusp_count = [0] * ncomp
-        sense_sum = [0] * ncomp
-        for c in self.crossings():
-            co, cu = s.component_of[c.over], s.component_of[c.under]
-            if co == cu:
-                self_writhe[co] += c.sign
-        for cusp in self.cusps():
-            cusp_count[cusp.component] += 1
-            sense_sum[cusp.component] += cusp.sense
+        pairs, cusps, senses = self._tally()
         return tuple(
-            (self_writhe[c] - cusp_count[c] // 2, sense_sum[c] // 2)
-            for c in range(ncomp)
+            (pairs[c][c] - cusps[c] // 2, senses[c] // 2) for c in range(len(cusps))
         )
 
     def linking_number(self, i: int, j: int) -> int:
         """lk between components ``i`` and ``j`` under the orientations."""
         if i == j:
             raise ValueError("linking number needs two distinct components")
-        s = self._structure
-        pair = {i, j}
-        total = sum(
-            c.sign
-            for c in self.crossings()
-            if {s.component_of[c.over], s.component_of[c.under]} == pair
-        )
-        if total % 2:
-            raise OddCrossingSum(f"components {i} and {j}: odd crossing sum {total}")
-        return total // 2
+        for index in (i, j):
+            if not 0 <= index < self.component_count:
+                raise IndexError(f"no component {index}")
+        return _linking(self._tally()[0], i, j)
 
     def linking_matrix(self) -> tuple[tuple[int, ...], ...]:
-        n = self.component_count
+        pairs = self._tally()[0]
+        n = len(pairs)
         return tuple(
-            tuple(0 if i == j else self.linking_number(i, j) for j in range(n))
-            for i in range(n)
+            tuple(0 if i == j else _linking(pairs, i, j) for j in range(n)) for i in range(n)
         )
 
     # -- orientation handling ---------------------------------------------
@@ -431,6 +432,19 @@ class FrontDiagram:
     def reverse(self) -> "FrontDiagram":
         """Reverse every component's orientation (negates rot, fixes tb)."""
         return self.with_orientations(-o for o in self.orientations)
+
+    def _pushed_forward(
+        self, base: "FrontDiagram", image: Callable[[int], int], sign: int
+    ) -> "FrontDiagram":
+        """``base`` oriented so each first arc ``a`` runs as ``sign`` * arc ``image(a)`` here.
+
+        The canonical traversal runs a component's first arc left to right,
+        so the direction wanted for that arc is the component's sign.
+        """
+        return base.with_orientations(
+            sign * self.arc_direction(image(members[0]))
+            for members in base._structure.components
+        )
 
     # -- mirrors -----------------------------------------------------------
 
@@ -451,16 +465,9 @@ class FrontDiagram:
             else:
                 out.append(FrontEvent(ev.kind, n - ev.pos))
                 n -= 2
-        base = FrontDiagram(tuple(out))
         # the mirror swaps each birth pair: arc a of the mirror corresponds
         # to arc a^1 here, and horizontal directions are preserved
-        s = base._structure
-        orientations = []
-        for members in s.components:
-            lead = min(members)
-            desired = self.arc_direction(lead ^ 1)
-            orientations.append(desired * s.walk_dir[lead])
-        return base.with_orientations(orientations)
+        return self._pushed_forward(FrontDiagram(tuple(out)), lambda a: a ^ 1, +1)
 
     def horizontal_mirror(self) -> "FrontDiagram":
         """Flip the diagram left to right.
@@ -477,25 +484,13 @@ class FrontDiagram:
         out = tuple(
             FrontEvent(flipped[ev.kind], ev.pos) for ev in reversed(self.events)
         )
-        base = FrontDiagram(out)
-        # arc of the mirror born (upper/lower) at event j <-> arc here dying
-        # (upper/lower) at event len-1-j
-        last = len(self.events) - 1
-        here = self._structure
-        death_at: dict[tuple[int, bool], int] = {}
-        for ci, (event, kind, upper, lower) in enumerate(here.cusps):
-            if kind is EventKind.RIGHT_CUSP:
-                death_at[(event, True)] = upper
-                death_at[(event, False)] = lower
-        s = base._structure
-        orientations = []
-        for members in s.components:
-            lead = min(members)
-            b_event, _, b_upper, _ = s.cusps[s.births[lead]]
-            twin = death_at[(last - b_event, lead == b_upper)]
-            desired = -self.arc_direction(twin)
-            orientations.append(desired * s.walk_dir[lead])
-        return base.with_orientations(orientations)
+        # the mirror's k-th left cusp, born with arcs 2k (upper) and 2k + 1,
+        # is the k-th right cusp from the end here, at the same heights, and
+        # horizontal directions reverse
+        deaths = [c[2:] for c in self._structure.cusps if c[1] is EventKind.RIGHT_CUSP]
+        return self._pushed_forward(
+            FrontDiagram(out), lambda a: deaths[-1 - a // 2][a & 1], -1
+        )
 
     # -- component surgery ---------------------------------------------------
 
@@ -554,10 +549,11 @@ def _splice(f: FrontDiagram, g: FrontDiagram) -> FrontDiagram:
         _, _, first_upper, _ = h._structure.cusps[0]
         if h.arc_direction(first_upper) != d_f:
             continue
-        base = FrontDiagram(f.events[:-1] + h.events[1:])
-        # arc 0 belongs to f's part; keep f's direction on it
-        orientation = f.arc_direction(0) * base._structure.walk_dir[0]
-        return base.with_orientations((orientation,))
+        # the arcs born in f's part keep their numbers; keep f's direction
+        # on arc 0, the first arc of the sum
+        return f._pushed_forward(
+            FrontDiagram(f.events[:-1] + h.events[1:]), lambda a: a, +1
+        )
     raise FrontError("connected sum: no orientation-compatible splice found")
 
 

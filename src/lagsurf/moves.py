@@ -733,15 +733,10 @@ def _invariant_key(diagram: FrontDiagram):
     inv = diagram.classical_invariants()
     tb = tuple(sorted(t for t, _ in inv))
     rot = tuple(sorted(abs(r) for _, r in inv))
-    n = diagram.component_count
-    lk = tuple(
-        sorted(
-            abs(diagram.linking_number(i, j))
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-    )
-    return diagram.component_count, tb, rot, lk
+    n = len(inv)
+    lk = diagram.linking_matrix()
+    lk_pairs = tuple(sorted(abs(lk[i][j]) for i in range(n) for j in range(i + 1, n)))
+    return n, tb, rot, lk_pairs
 
 
 @dataclass(slots=True)
@@ -750,7 +745,6 @@ class _Node:
     parent: Optional[Coded]  # canonical key of the parent class
     via_concrete: Optional[Coded]  # word in parent class the move applied to
     move: Optional[MoveInstance]
-    depth: int
 
 
 def equivalent_within(
@@ -805,8 +799,8 @@ def equivalent_within(
 
     start_key = key_of(start)
     goal_key = key_of(goal)
-    sides[0][start_key] = _Node(start, None, None, None, 0)
-    sides[1][goal_key] = _Node(goal, None, None, None, 0)
+    sides[0][start_key] = _Node(start, None, None, None)
+    sides[1][goal_key] = _Node(goal, None, None, None)
     frontiers: list[list[Coded]] = [[start_key], [goal_key]]
 
     def build_witness(meet: Coded) -> list[MoveInstance]:
@@ -838,7 +832,6 @@ def equivalent_within(
     if start_key == goal_key:
         return finish(_slide_path(start, goal))
 
-    explored = 2
     while frontiers[0] and frontiers[1] and depths[0] + depths[1] < depth:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         depths[side] += 1
@@ -855,12 +848,11 @@ def equivalent_within(
                 nxt_key = child_keys[nxt]
                 if nxt_key in sides[side]:
                     continue
-                sides[side][nxt_key] = _Node(nxt, key, concrete, move, depths[side])
+                sides[side][nxt_key] = _Node(nxt, key, concrete, move)
                 new_frontier.append(nxt_key)
-                explored += 1
                 if nxt_key in sides[1 - side]:
                     return finish(build_witness(nxt_key))
-                if explored >= node_cap:
+                if len(sides[0]) + len(sides[1]) >= node_cap:
                     return outcome("node cap", None)
         frontiers[side] = sorted(new_frontier)
     return outcome("depth exhausted", None)

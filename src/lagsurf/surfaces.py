@@ -13,6 +13,10 @@ the Euler number of the associated disk bundle is always
 Two front-level operations do real diagram work: attaching a tube between
 two facing cusps (which rewrites the boundary word and can disorient the
 surface) and replaying a rewrite witness along a cylinder.
+
+A complex keeps no log of how it was built, so two complexes with the same
+records are equal; a surface script (``lagsurf surface build``) is the
+record of a construction.
 """
 
 from __future__ import annotations
@@ -104,27 +108,22 @@ class SurfaceComplex:
 
     ``boundary`` is a single front diagram whose components are the boundary
     curves; linking between them is read off the diagram.  An empty diagram
-    means a closed surface.  ``witness`` is a human-readable construction log.
+    means a closed surface.
     """
 
     chi: int
     orientable: bool
     boundary: FrontDiagram
     singularities: tuple[Singularity, ...] = ()
-    witness: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "singularities", tuple(self.singularities))
-        object.__setattr__(self, "witness", tuple(self.witness))
         if self.is_closed:
             check_closed_surface(self.chi, self.orientable)
 
     @property
     def is_closed(self) -> bool:
         return self.boundary.component_count == 0
-
-    def logged(self, entry: str) -> tuple[str, ...]:
-        return self.witness + (entry,)
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,8 @@ def cone_cap(s: SurfaceComplex, boundary_index: int, model: FrontDiagram) -> Sur
         raise BoundaryNotUnknotCompatible(
             f"boundary ({tb}, {rot}) does not match model ({model_tb}, {model_rot})"
         )
-    for other in range(len(invariants)):
-        if other != boundary_index and s.boundary.linking_number(boundary_index, other):
-            raise BoundaryNotUnknotCompatible("capped component must be unlinked")
+    if any(s.boundary.linking_matrix()[boundary_index]):
+        raise BoundaryNotUnknotCompatible("capped component must be unlinked")
     sings = s.singularities
     if (model_tb, model_rot) != (-1, 0):
         sings = sings + (Singularity(model_tb, model_rot),)
@@ -180,7 +178,6 @@ def cone_cap(s: SurfaceComplex, boundary_index: int, model: FrontDiagram) -> Sur
         chi=s.chi + 1,
         boundary=s.boundary.delete_component(boundary_index),
         singularities=sings,
-        witness=s.logged(f"cone_cap component {boundary_index} model ({model_tb},{model_rot})"),
     )
 
 
@@ -211,14 +208,7 @@ def split_cone(s: SurfaceComplex, singularity_index: int) -> SurfaceComplex:
         + pieces
         + s.singularities[singularity_index + 1 :]
     )
-    return replace(
-        s,
-        singularities=sings,
-        witness=s.logged(
-            f"split_cone {singularity_index}: ({sing.model_tb},{sing.model_rot})"
-            f" -> {n} basic points"
-        ),
-    )
+    return replace(s, singularities=sings)
 
 
 def mark_umbrella(s: SurfaceComplex, singularity_index: int, umbrella: bool = True) -> SurfaceComplex:
@@ -270,10 +260,6 @@ def one_handle(s: SurfaceComplex, cusp_a: int, cusp_b: int) -> SurfaceComplex:
         chi=s.chi - 1,
         orientable=s.orientable and not disorienting,
         boundary=rewritten,
-        witness=s.logged(
-            f"one_handle events ({cusp_a},{cusp_b})"
-            + (" disorienting" if disorienting else "")
-        ),
     )
 
 
@@ -293,11 +279,7 @@ def isotopy_cylinder(
         raise InvalidWitness("witness does not reach the target word")
     if sorted(s.boundary.classical_invariants()) != sorted(target.classical_invariants()):
         raise InvalidWitness("target orientations change the boundary invariants")
-    return replace(
-        s,
-        boundary=target,
-        witness=s.logged(f"isotopy_cylinder {len(witness)} moves"),
-    )
+    return replace(s, boundary=target)
 
 
 def mobius_smoothing(s: SurfaceComplex, singularity_index: int) -> SurfaceComplex:
@@ -316,12 +298,7 @@ def mobius_smoothing(s: SurfaceComplex, singularity_index: int) -> SurfaceComple
     sings = (
         s.singularities[:singularity_index] + s.singularities[singularity_index + 1 :]
     )
-    return replace(
-        s,
-        chi=s.chi - 1,
-        singularities=sings,
-        witness=s.logged(f"mobius_smoothing {singularity_index}"),
-    )
+    return replace(s, chi=s.chi - 1, singularities=sings)
 
 
 def glue_mobius_three_umbrellas(s: SurfaceComplex) -> SurfaceComplex:
@@ -338,7 +315,6 @@ def glue_mobius_three_umbrellas(s: SurfaceComplex) -> SurfaceComplex:
         chi=s.chi - 1,
         orientable=False,
         singularities=s.singularities + (BASIC_POSITIVE, BASIC_POSITIVE, BASIC_NEGATIVE),
-        witness=s.logged("glue_mobius_three_umbrellas"),
     )
 
 
@@ -361,7 +337,6 @@ def _build_piece(recipe_word: str, handle: tuple[int, int]) -> SurfaceComplex:
         orientable=True,
         boundary=knot,
         singularities=(Singularity(tb, rot),),
-        witness=(f"cone over {knot.notation()}",),
     )
     return one_handle(split_cone(cone, 0), *handle)
 
@@ -389,7 +364,6 @@ def klein_base() -> SurfaceComplex:
         orientable=False,
         boundary=FrontDiagram(()),
         singularities=(BASIC_POSITIVE, BASIC_POSITIVE, BASIC_NEGATIVE, BASIC_NEGATIVE),
-        witness=("klein_base",),
     )
 
 
@@ -410,5 +384,4 @@ def genus_chain(genus: int) -> SurfaceComplex:
         orientable=True,
         boundary=FrontDiagram(()),
         singularities=sings,
-        witness=(f"genus_chain {genus}",),
     )

@@ -9,7 +9,16 @@ import random
 import hypothesis.strategies as st
 import numpy as np
 
-from lagsurf.fronts import EventKind, FrontDiagram, FrontEvent
+from lagsurf.fronts import (
+    CrossingInfo,
+    CuspInfo,
+    EventKind,
+    FrontDiagram,
+    FrontError,
+    FrontEvent,
+    MultiComponentInput,
+    OddCrossingSum,
+)
 from lagsurf.immersions import (
     GridOutsideDomain,
     ImmersionFamily,
@@ -469,6 +478,197 @@ def reference_trace_key(codes: Coded) -> tuple[Coded, tuple[int, ...]]:
         states = nxt
     ((order, _),) = states.values()
     return tuple(key), order
+
+
+# -- the per-method invariant walks and mirrors of ``fronts``, kept as references
+
+
+def reference_cusps(diagram: FrontDiagram) -> tuple[CuspInfo, ...]:
+    s = diagram._structure
+    return tuple(
+        CuspInfo(
+            event=event,
+            kind=kind,
+            upper=upper,
+            lower=lower,
+            component=s.component_of[upper],
+            sense=s.cusp_sense[i] * diagram.orientations[s.component_of[upper]],
+        )
+        for i, (event, kind, upper, lower) in enumerate(s.cusps)
+    )
+
+
+def reference_crossings(diagram: FrontDiagram) -> tuple[CrossingInfo, ...]:
+    return tuple(
+        CrossingInfo(
+            event=event,
+            over=over,
+            under=under,
+            sign=diagram.arc_direction(over) * diagram.arc_direction(under),
+        )
+        for event, over, under in diagram._structure.crossings
+    )
+
+
+def reference_writhe(diagram: FrontDiagram) -> int:
+    """Signed crossing count of the whole diagram (all components)."""
+    return sum(c.sign for c in reference_crossings(diagram))
+
+
+def reference_thurston_bennequin(diagram: FrontDiagram) -> int:
+    if diagram.component_count != 1:
+        raise MultiComponentInput(f"need a single component, found {diagram.component_count}")
+    return reference_writhe(diagram) - len(diagram._structure.cusps) // 2
+
+
+def reference_rotation_number(diagram: FrontDiagram) -> int:
+    if diagram.component_count != 1:
+        raise MultiComponentInput(f"need a single component, found {diagram.component_count}")
+    total = sum(c.sense for c in reference_cusps(diagram))
+    return total // 2
+
+
+def reference_classical_invariants(diagram: FrontDiagram) -> tuple[tuple[int, int], ...]:
+    """Per-component ``(tb, rot)``, using each component's own crossings."""
+    s = diagram._structure
+    ncomp = len(s.components)
+    self_writhe = [0] * ncomp
+    cusp_count = [0] * ncomp
+    sense_sum = [0] * ncomp
+    for c in reference_crossings(diagram):
+        co, cu = s.component_of[c.over], s.component_of[c.under]
+        if co == cu:
+            self_writhe[co] += c.sign
+    for cusp in reference_cusps(diagram):
+        cusp_count[cusp.component] += 1
+        sense_sum[cusp.component] += cusp.sense
+    return tuple(
+        (self_writhe[c] - cusp_count[c] // 2, sense_sum[c] // 2)
+        for c in range(ncomp)
+    )
+
+
+def reference_linking_number(diagram: FrontDiagram, i: int, j: int) -> int:
+    """lk between components ``i`` and ``j`` under the orientations."""
+    if i == j:
+        raise ValueError("linking number needs two distinct components")
+    s = diagram._structure
+    pair = {i, j}
+    total = sum(
+        c.sign
+        for c in reference_crossings(diagram)
+        if {s.component_of[c.over], s.component_of[c.under]} == pair
+    )
+    if total % 2:
+        raise OddCrossingSum(f"components {i} and {j}: odd crossing sum {total}")
+    return total // 2
+
+
+def reference_linking_matrix(diagram: FrontDiagram) -> tuple[tuple[int, ...], ...]:
+    n = diagram.component_count
+    return tuple(
+        tuple(0 if i == j else reference_linking_number(diagram, i, j) for j in range(n))
+        for i in range(n)
+    )
+
+
+def reference_vertical_mirror(diagram: FrontDiagram) -> FrontDiagram:
+    """Flip the diagram upside down, pushing the orientation forward."""
+    out = []
+    n = 0
+    for ev in diagram.events:
+        if ev.kind is EventKind.LEFT_CUSP:
+            out.append(FrontEvent(ev.kind, n + 2 - ev.pos))
+            n += 2
+        elif ev.kind is EventKind.CROSSING:
+            out.append(FrontEvent(ev.kind, n - ev.pos))
+        else:
+            out.append(FrontEvent(ev.kind, n - ev.pos))
+            n -= 2
+    base = FrontDiagram(tuple(out))
+    # the mirror swaps each birth pair: arc a of the mirror corresponds
+    # to arc a^1 here, and horizontal directions are preserved
+    s = base._structure
+    orientations = []
+    for members in s.components:
+        lead = min(members)
+        desired = diagram.arc_direction(lead ^ 1)
+        orientations.append(desired * s.walk_dir[lead])
+    return base.with_orientations(orientations)
+
+
+def reference_horizontal_mirror(diagram: FrontDiagram) -> FrontDiagram:
+    """Flip the diagram left to right, pushing the orientation forward.
+
+    The birth cusp of each lead arc is looked up in the mirror's cusp list.
+    """
+    flipped = {
+        EventKind.LEFT_CUSP: EventKind.RIGHT_CUSP,
+        EventKind.RIGHT_CUSP: EventKind.LEFT_CUSP,
+        EventKind.CROSSING: EventKind.CROSSING,
+    }
+    out = tuple(
+        FrontEvent(flipped[ev.kind], ev.pos) for ev in reversed(diagram.events)
+    )
+    base = FrontDiagram(out)
+    # arc of the mirror born (upper/lower) at event j <-> arc here dying
+    # (upper/lower) at event len-1-j
+    last = len(diagram.events) - 1
+    here = diagram._structure
+    death_at: dict[tuple[int, bool], int] = {}
+    for ci, (event, kind, upper, lower) in enumerate(here.cusps):
+        if kind is EventKind.RIGHT_CUSP:
+            death_at[(event, True)] = upper
+            death_at[(event, False)] = lower
+    s = base._structure
+    orientations = []
+    for members in s.components:
+        lead = min(members)
+        b_event, _, b_upper, _ = next(
+            c for c in s.cusps if c[1] is EventKind.LEFT_CUSP and lead in c[2:]
+        )
+        twin = death_at[(last - b_event, lead == b_upper)]
+        desired = -diagram.arc_direction(twin)
+        orientations.append(desired * s.walk_dir[lead])
+    return base.with_orientations(orientations)
+
+
+def _reference_splice(f: FrontDiagram, g: FrontDiagram) -> FrontDiagram:
+    """Join two knots end to end when some reflection of ``g`` lines up."""
+    s = f._structure
+    _, _, upper, _ = s.cusps[-1]
+    d_f = f.arc_direction(upper)
+    rot_g = reference_rotation_number(g)
+
+    candidates = [
+        g,
+        g.reverse(),
+        reference_horizontal_mirror(g),
+        reference_horizontal_mirror(g).reverse(),
+    ]
+    for h in candidates:
+        if reference_rotation_number(h) != rot_g:
+            continue
+        _, _, first_upper, _ = h._structure.cusps[0]
+        if h.arc_direction(first_upper) != d_f:
+            continue
+        base = FrontDiagram(f.events[:-1] + h.events[1:])
+        # arc 0 belongs to f's part; keep f's direction on it
+        orientation = f.arc_direction(0) * base._structure.walk_dir[0]
+        return base.with_orientations((orientation,))
+    raise FrontError("connected sum: no orientation-compatible splice found")
+
+
+def reference_front_connected_sum(f: FrontDiagram, g: FrontDiagram) -> FrontDiagram:
+    """Oriented connected sum, through an adaptor knot when no splice lines up."""
+    for diagram in (f, g):
+        if diagram.component_count != 1:
+            raise MultiComponentInput("connected sum needs single-component fronts")
+    try:
+        return _reference_splice(f, g)
+    except FrontError:
+        adaptor = FrontDiagram.from_word("L1 L1 X2 R3 R1")
+        return _reference_splice(_reference_splice(f, adaptor), g)
 
 
 # -- dense all-pairs kernels of ``linking``, kept as references ------------

@@ -1,3 +1,5 @@
+import itertools
+import pathlib
 import random
 
 import pytest
@@ -16,6 +18,9 @@ from lagsurf.fronts import (
     front_connected_sum,
     word,
 )
+from lagsurf.dsl import parse_front
+
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 # Hand-traced words with frozen invariants: (word, components, [(tb, rot)], writhe)
 KNOT_TABLE = [
@@ -58,10 +63,75 @@ def test_link_table(text, invariants, lk):
 
 def test_odd_inter_component_crossing_sum_raises(monkeypatch):
     d = FrontDiagram.from_word("L1 L2 X1 X3 R2 R1")
-    full = FrontDiagram.crossings
-    monkeypatch.setattr(FrontDiagram, "crossings", lambda self: full(self)[:-1])
+    # drop one of the two crossings between the components from the structure
+    monkeypatch.setattr(d._structure, "crossings", d._structure.crossings[:-1])
     with pytest.raises(OddCrossingSum):
         d.linking_number(0, 1)
+    with pytest.raises(OddCrossingSum):
+        d.linking_matrix()
+
+
+@pytest.mark.parametrize(
+    "text,i,j",
+    [
+        ("L1 R1", 0, 7),
+        ("L1 R1", -1, 3),
+        ("L1 L2 X1 X3 R2 R1", 0, 2),
+        ("L1 L2 X1 X3 R2 R1", 2, 1),
+        ("L1 L2 X1 X3 R2 R1", -1, 1),
+        ("L1 L2 X1 X3 R2 R1", 1, -1),
+        ("L1 L2 X1 X3 R2 R1", -2, 0),
+    ],
+)
+def test_linking_number_rejects_missing_components(text, i, j):
+    with pytest.raises(IndexError, match="no component"):
+        FrontDiagram.from_word(text).linking_number(i, j)
+
+
+def _every_orientation(d: FrontDiagram):
+    """All orientation vectors of ``d`` up to 3 components, else ``d`` alone."""
+    if d.component_count > 3:
+        return [d]
+    return [
+        d.with_orientations(signs)
+        for signs in itertools.product((1, -1), repeat=d.component_count)
+    ]
+
+
+def _assert_matches_reference(d: FrontDiagram) -> None:
+    assert d.cusps() == helpers.reference_cusps(d)
+    assert d.crossings() == helpers.reference_crossings(d)
+    assert d.writhe() == helpers.reference_writhe(d)
+    assert d.classical_invariants() == helpers.reference_classical_invariants(d)
+    assert d.linking_matrix() == helpers.reference_linking_matrix(d)
+    for i, j in itertools.permutations(range(d.component_count), 2):
+        assert d.linking_number(i, j) == helpers.reference_linking_number(d, i, j)
+    if d.component_count == 1:
+        assert d.thurston_bennequin() == helpers.reference_thurston_bennequin(d)
+        assert d.rotation_number() == helpers.reference_rotation_number(d)
+    assert d.vertical_mirror() == helpers.reference_vertical_mirror(d)
+    assert d.horizontal_mirror() == helpers.reference_horizontal_mirror(d)
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.front")), ids=lambda p: p.stem)
+def test_invariants_and_mirrors_match_reference_on_corpus(path):
+    for d in _every_orientation(parse_front(path.read_text()).to_diagram()):
+        _assert_matches_reference(d)
+
+
+def test_invariants_and_mirrors_match_reference_on_random_words():
+    rng = random.Random(20161)
+    for _ in range(300):
+        for d in _every_orientation(helpers.random_diagram(rng, max_events=14)):
+            _assert_matches_reference(d)
+
+
+def test_connected_sum_matches_reference_on_random_knot_pairs():
+    rng = random.Random(4652)
+    for _ in range(200):
+        f = helpers.random_knot(rng, max_events=10)
+        g = helpers.random_knot(rng, max_events=10)
+        assert front_connected_sum(f, g) == helpers.reference_front_connected_sum(f, g)
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,6 @@ def cone_over(front: FrontDiagram) -> SurfaceComplex:
         orientable=True,
         boundary=front,
         singularities=(Singularity(tb, rot),),
-        witness=(f"cone over {front.notation()}",),
     )
 
 
