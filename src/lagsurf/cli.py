@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .classify import massey_set, rationally_convex_set, stein_set
 from .dsl import parse_front
-from .fronts import FrontDiagram, FrontError, word
+from .fronts import EventKind, FrontDiagram, FrontError, word
 from .moves import MoveDirection, MoveId, MoveInstance, apply_move, applicable_moves, equivalent_within
 from .render import render_svg
 from .surfaces import (
@@ -67,6 +67,8 @@ def _load_diagram(path: str) -> tuple[str, FrontDiagram]:
 
 def _front_stats(args) -> int:
     name, diagram = _load_diagram(args.file)
+    # every event that is not a crossing is a cusp
+    crossings = sum(event.kind is EventKind.CROSSING for event in diagram.events)
     _emit_json(
         {
             "schema": 1,
@@ -76,8 +78,8 @@ def _front_stats(args) -> int:
             "invariants": [list(pair) for pair in diagram.classical_invariants()],
             "linking": [list(row) for row in diagram.linking_matrix()],
             "max_strands": diagram.max_strands,
-            "cusps": len(diagram.cusps()),
-            "crossings": len(diagram.crossings()),
+            "cusps": len(diagram.events) - crossings,
+            "crossings": crossings,
         }
     )
     return 0

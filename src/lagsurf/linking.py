@@ -88,15 +88,15 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = Fa
     ``_CHUNK``, so memory stays bounded when many rows share a cell.
     """
     dim = a.shape[1]
-    rows_a = np.flatnonzero(np.isfinite(a).all(1))
-    rows_b = rows_a if self_join else np.flatnonzero(np.isfinite(b).all(1))
+    rows_a, a, origin, top = _finite_rows(a)
+    if self_join:
+        rows_b, b = rows_a, a
+    else:
+        rows_b, b, low_b, top_b = _finite_rows(b)
+        origin, top = np.minimum(origin, low_b), np.maximum(top, top_b)
     if rows_a.size == 0 or rows_b.size == 0:
         return
-    a = a[rows_a]
-    b = a if self_join else b[rows_b]
-    both = (a,) if self_join else (a, b)
-    origin = np.min([rows.min(0) for rows in both], axis=0)
-    span = float(np.max(np.max([rows.max(0) for rows in both], axis=0) - origin))
+    span = float(np.max(top - origin))
     # a hair over reach, so rounding cannot put a pair within reach two cells
     # apart; at most 2**15 cells per axis keeps that rounding far under the
     # hair, and 2**(60 // dim) keeps the int64 key from overflowing
@@ -128,6 +128,27 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = Fa
             yield source[owner], target[index]
 
 
+def _finite_rows(rows: np.ndarray):
+    """The indices of the rows with every entry finite, those rows, and their
+    column minima and maxima.
+
+    The column bounds are finite exactly when every entry is, and then the
+    rows are taken as they are, with no filter and no copy.
+    """
+    low, top = _column_bounds(rows)
+    if np.isfinite(low).all() and np.isfinite(top).all():
+        return np.arange(len(rows)), rows, low, top
+    index = np.flatnonzero(np.isfinite(rows).all(1))
+    rows = rows[index]
+    return index, rows, *_column_bounds(rows)
+
+
+def _column_bounds(rows: np.ndarray):
+    """Column minima and maxima, taken on a contiguous transpose (infinite if empty)."""
+    columns = np.ascontiguousarray(rows.T)
+    return columns.min(1, initial=np.inf), columns.max(1, initial=-np.inf)
+
+
 def _ranges(start: np.ndarray, count: np.ndarray):
     """Yield ``(owner, index)`` chunks of every ``start[k] + r``, ``r < count[k]``.
 
@@ -140,13 +161,6 @@ def _ranges(start: np.ndarray, count: np.ndarray):
         flat = np.arange(lo_flat, min(lo_flat + _CHUNK, total))
         owner = np.searchsorted(ends, flat, side="right")
         yield owner, start[owner] + flat - (ends[owner] - count[owner])
-
-
-def _row_tiles(rows: int, columns: int):
-    """Row slices covering ``rows`` with about ``_TILE_ELEMENTS`` per block."""
-    step = max(1, _TILE_ELEMENTS // max(columns, 1))
-    for start in range(0, rows, step):
-        yield slice(start, min(start + step, rows))
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -391,8 +405,11 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     a (6, M) one.  Its terms are of size |m| |d|^2 where the triple is of size
     |sep| |d|^2, so its rounding error, relative to the triple, grows as
     |m| / |sep|.  The separations ``sep`` in the denominator are taken
-    componentwise, as exact differences.  Raises SelfIntersectingSamples
-    when two midpoints coincide or the sum is not finite.
+    componentwise, as exact differences.  The working set is two tiles of
+    about ``_TILE_ELEMENTS`` floats, allocated once per call: a tile's
+    ``|sep|^3`` is built in one, and its separations and then its triple
+    products in the other.  Raises SelfIntersectingSamples when two
+    midpoints coincide or the sum is not finite.
     """
     pole = _choose_pole((first, second))
     a3 = stereographic(first, pole)
@@ -405,19 +422,25 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     right = np.ascontiguousarray(np.concatenate([db, np.cross(db, mb)], axis=1).T)
     # unit-stride rows for the outer differences below
     columns = np.ascontiguousarray(mb.T)
+    # row tiles of about _TILE_ELEMENTS pairs each
+    step = max(1, _TILE_ELEMENTS // max(len(mb), 1))
+    sep_tile, norm_tile = np.empty((2, min(step, len(ma)), len(mb)))
     total = 0.0
     with np.errstate(all="ignore"):
-        for rows in _row_tiles(len(ma), len(mb)):
+        for start in range(0, len(ma), step):
+            rows = slice(start, min(start + step, len(ma)))
+            sep, norm = sep_tile[: rows.stop - start], norm_tile[: rows.stop - start]
             # |sep|^3 from sep = ma - mb, one component at a time
-            sep = np.subtract.outer(ma[rows, 0], columns[0])
-            norm = sep * sep
+            np.subtract.outer(ma[rows, 0], columns[0], out=sep)
+            np.multiply(sep, sep, out=norm)
             for k in (1, 2):
                 np.subtract.outer(ma[rows, k], columns[k], out=sep)
                 sep *= sep
                 norm += sep
             np.sqrt(norm, out=sep)
             norm *= sep
-            triple = left[rows] @ right
+            # the triple products overwrite the spent root
+            triple = np.matmul(left[rows], right, out=sep)
             triple /= norm
             total += float(np.sum(triple))
     if not math.isfinite(total):

@@ -317,7 +317,8 @@ def apply_move(diagram: FrontDiagram, move: MoveInstance) -> FrontDiagram:
     a local rewrite cannot change how that cusp is traversed; matching its
     sense between the old diagram and the (default-oriented) new one
     recovers the component's orientation sign.  The new word is validated
-    once, and the senses are read off both words' structures.
+    once.  A surviving cusp's sense under the old orientation, times its
+    sense in the new word's structure, is its component's sign.
     """
     new_events = apply_move_word(diagram.events, move)
     old, new = diagram._structure, _Structure(new_events)
@@ -327,19 +328,15 @@ def apply_move(diagram: FrontDiagram, move: MoveInstance) -> FrontDiagram:
     else:
         old_len, new_len = map(len, _PATTERNS[move.move_id, move.direction])
     new_cusp = {cusp[0]: ci for ci, cusp in enumerate(new.cusps)}
-    orientations = diagram.orientations
+    senses = diagram._senses()
     signs = [0] * len(new.components)
-    for ci, (event, _, upper, _) in enumerate(old.cusps):
+    for ci, (event, *_) in enumerate(old.cusps):
         if start <= event < start + old_len:
             continue
         target = event if event < start else event + new_len - old_len
         mirror = new_cusp[target]
         component = new.component_of[new.cusps[mirror][2]]
-        sign = (
-            old.cusp_sense[ci]
-            * orientations[old.component_of[upper]]
-            * new.cusp_sense[mirror]
-        )
+        sign = senses[ci] * new.cusp_sense[mirror]
         if signs[component] not in (0, sign):
             raise SenseTransferConflict("sense transfer disagrees")
         signs[component] = sign

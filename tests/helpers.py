@@ -26,6 +26,7 @@ from lagsurf.immersions import (
     symplectic_pairing,
 )
 from lagsurf.linking import (
+    _TILE_ELEMENTS,
     DegenerateProjection,
     SelfIntersectingSamples,
     _choose_pole,
@@ -762,6 +763,50 @@ def reference_gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     cross = np.cross(da[:, None, :], db[None, :, :])
     triple = np.einsum("ijk,ijk->ij", cross, sep)
     return float(np.sum(triple / norm) / (4 * math.pi))
+
+
+def _reference_row_tiles(rows: int, columns: int):
+    """Row slices covering ``rows`` with about ``_TILE_ELEMENTS`` per block."""
+    step = max(1, _TILE_ELEMENTS // max(columns, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def reference_tiled_gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
+    """The tiled Gauss sum with three fresh arrays per tile.
+
+    The same tiles, operations and partial sums as ``gauss_linking``, so the
+    two must return the same float.
+    """
+    pole = _choose_pole((first, second))
+    a3 = stereographic(first, pole)
+    b3 = stereographic(second, pole)
+    da = np.roll(a3, -1, axis=0) - a3
+    db = np.roll(b3, -1, axis=0) - b3
+    ma = a3 + 0.5 * da
+    mb = b3 + 0.5 * db
+    left = np.concatenate([np.cross(ma, da), -da], axis=1)
+    right = np.ascontiguousarray(np.concatenate([db, np.cross(db, mb)], axis=1).T)
+    # unit-stride rows for the outer differences below
+    columns = np.ascontiguousarray(mb.T)
+    total = 0.0
+    with np.errstate(all="ignore"):
+        for rows in _reference_row_tiles(len(ma), len(mb)):
+            # |sep|^3 from sep = ma - mb, one component at a time
+            sep = np.subtract.outer(ma[rows, 0], columns[0])
+            norm = sep * sep
+            for k in (1, 2):
+                np.subtract.outer(ma[rows, k], columns[k], out=sep)
+                sep *= sep
+                norm += sep
+            np.sqrt(norm, out=sep)
+            norm *= sep
+            triple = left[rows] @ right
+            triple /= norm
+            total += float(np.sum(triple))
+    if not math.isfinite(total):
+        raise SelfIntersectingSamples("Gauss sum not finite: the curves' midpoints meet")
+    return total / (4 * math.pi)
 
 
 # -- the meshgrid residual sweep of ``immersions``, kept as a reference ----

@@ -12,7 +12,7 @@ import pytest
 import lagsurf.cli
 import lagsurf.linking
 from helpers import reference_derive_table
-from lagsurf.cli import _parser, main, run_surface_script, witness_script
+from lagsurf.cli import _load_diagram, _parser, main, run_surface_script, witness_script
 from lagsurf.surfaces import euler_number
 from lagsurf.table import Rule, derive_table
 
@@ -37,6 +37,18 @@ def test_front_stats_matches_manifest(capsys):
     assert payload["schema"] == 1
     assert payload["invariants"] == manifest["files"]["three-sum-core"]["invariants"]
     assert payload["name"] == "three-sum-core"
+
+
+def test_front_stats_counts_every_cusp_and_crossing(capsys):
+    files = sorted(CORPUS.glob("*.front"))
+    assert len(files) == 20
+    for path in files:
+        _, diagram = _load_diagram(str(path))
+        code, out, _ = run(capsys, "front", "stats", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cusps"] == len(diagram.cusps())
+        assert payload["crossings"] == len(diagram.crossings())
 
 
 def test_front_check_ok(capsys):
