@@ -94,7 +94,7 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = Fa
     else:
         rows_b, b, low_b, top_b = _finite_rows(b)
         origin, top = np.minimum(origin, low_b), np.maximum(top, top_b)
-    if rows_a.size == 0 or rows_b.size == 0:
+    if len(a) == 0 or len(b) == 0:
         return
     span = float(np.max(top - origin))
     # a hair over reach, so rounding cannot put a pair within reach two cells
@@ -112,7 +112,8 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = Fa
     key = keys(b)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    target = rows_b[order]
+    # row numbers stand for themselves when no row was filtered out
+    target = order if rows_b is None else rows_b[order]
     probe, source = (key, target) if self_join else (keys(a), rows_a)
     for row in itertools.product((-1, 0, 1), repeat=dim - 1):
         if self_join and row < (0,) * (dim - 1):
@@ -125,7 +126,7 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = Fa
             start = np.searchsorted(key, base - 1)
         stop = np.searchsorted(key, base + 1, side="right")
         for owner, index in _ranges(start, stop - start):
-            yield source[owner], target[index]
+            yield owner if source is None else source[owner], target[index]
 
 
 def _finite_rows(rows: np.ndarray):
@@ -133,11 +134,12 @@ def _finite_rows(rows: np.ndarray):
     column minima and maxima.
 
     The column bounds are finite exactly when every entry is, and then the
-    rows are taken as they are, with no filter and no copy.
+    rows are taken as they are, with no filter and no copy, and the indices
+    are ``None``: every row keeps its own number.
     """
     low, top = _column_bounds(rows)
     if np.isfinite(low).all() and np.isfinite(top).all():
-        return np.arange(len(rows)), rows, low, top
+        return None, rows, low, top
     index = np.flatnonzero(np.isfinite(rows).all(1))
     rows = rows[index]
     return index, rows, *_column_bounds(rows)
@@ -201,10 +203,12 @@ def _crossing_scale(da: np.ndarray, db: np.ndarray) -> float:
     candidate is the float a dense scan computes, and the two agree unless
     more than two points tie for the support up to rounding, where the
     result can fall an ulp or so short.  Rows with a non-finite component
-    are left out, as in :func:`_overlapping_boxes`.
+    are left out, as in :func:`_overlapping_boxes`; when there are none the
+    (x, y) slices are used as they are.  Each candidate vertex array is
+    folded into the maximum as it is made, so one is held at a time.
     """
-    a = da[:, :2][np.isfinite(da[:, :2]).all(1)]
-    b = db[:, :2][np.isfinite(db[:, :2]).all(1)]
+    a = _finite_rows(da[:, :2])[1]
+    b = _finite_rows(db[:, :2])[1]
     if a.size == 0 or b.size == 0:
         return 0.0
     hull = _convex_hull(b)
@@ -217,10 +221,13 @@ def _crossing_scale(da: np.ndarray, db: np.ndarray) -> float:
         # and [0, pi] on the upper one; 0.0 - ex, not -ex, so that a vertical
         # edge of the upper chain reads pi, not -pi.
         normal = np.arctan2(0.0 - edge[:, 0], edge[:, 1])
-        candidates = []
-        for direction in (np.arctan2(a[:, 0], -a[:, 1]), np.arctan2(-a[:, 0], a[:, 1])):
-            vertex = np.searchsorted(normal, direction)
-            candidates += [hull[(vertex + shift) % len(hull)] for shift in (-1, 0, 1)]
+        vertices = (
+            np.searchsorted(normal, np.arctan2(a[:, 0], -a[:, 1])),
+            np.searchsorted(normal, np.arctan2(-a[:, 0], a[:, 1])),
+        )
+        candidates = (
+            hull[(vertex + shift) % len(hull)] for vertex in vertices for shift in (-1, 0, 1)
+        )
     scale = 0.0
     for v in candidates:
         cross = a[:, 0] * v[:, 1] - a[:, 1] * v[:, 0]
@@ -237,14 +244,23 @@ def _overlapping_boxes(lo_a, hi_a, lo_b, hi_b):
     box, kept only if the boxes really overlap; each comes once.  Boxes with
     a non-finite corner meet nothing.
     """
-    widths = np.concatenate([hi_a - lo_a, hi_b - lo_b])
-    reach = float(np.max(widths, initial=0.0, where=np.isfinite(widths)))
-    # a non-finite high corner leaves out its box, as a non-finite low one does
-    corner_a = np.where(np.isfinite(hi_a).all(1, keepdims=True), lo_a, np.nan)
-    corner_b = np.where(np.isfinite(hi_b).all(1, keepdims=True), lo_b, np.nan)
-    for i, j in _near_pairs(corner_a, corner_b, reach):
+    reach = max(_widest(lo_a, hi_a), _widest(lo_b, hi_b))
+    # a non-finite high corner leaves out its box, as a non-finite low one
+    # does; when every high corner is finite the low corners serve as they are
+    corners = (
+        lo if np.isfinite(hi).all()
+        else np.where(np.isfinite(hi).all(1, keepdims=True), lo, np.nan)
+        for lo, hi in ((lo_a, hi_a), (lo_b, hi_b))
+    )
+    for i, j in _near_pairs(*corners, reach):
         meet = np.all((lo_a[i] <= hi_b[j]) & (lo_b[j] <= hi_a[i]), axis=1)
         yield i[meet], j[meet]
+
+
+def _widest(lo: np.ndarray, hi: np.ndarray) -> float:
+    """The largest finite ``hi - lo`` of the boxes, 0.0 if there is none."""
+    widths = hi - lo
+    return float(np.max(widths, initial=0.0, where=np.isfinite(widths)))
 
 
 def reeb_pushoff(curve: np.ndarray, epsilon: float) -> np.ndarray:
@@ -296,10 +312,9 @@ def stereographic(curve: np.ndarray, pole: np.ndarray) -> np.ndarray:
 
 
 def _choose_pole(curves) -> np.ndarray:
-    stacked = np.concatenate(curves)
+    """The candidate pole farthest from every curve; one curve's heights at a time."""
     poles = _candidate_poles()
-    heights = stacked @ poles.T
-    closest = np.max(heights, axis=0)
+    closest = np.max([np.max(curve @ poles.T, axis=0) for curve in curves], axis=0)
     best = int(np.argmin(closest))
     if closest[best] > 1.0 - 1e-4:
         raise DegenerateProjection("every candidate pole sits on a curve")
@@ -325,19 +340,28 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     by a millionth of the widest one, far beyond the 1e-9 grazing tolerance.
     ``scale`` is still the largest |denom| over every pair, found by a hull
     query in :func:`_crossing_scale`.
+
+    Each full-width array is built once: the segment vectors ``da`` and
+    ``db`` and the (x, y) box corners, padded in place, 7 floats per sample
+    of each loop; the rolled loops are dropped as soon as these are built.
+    The hull query and one chunk of candidate pairs come on top.  A view of
+    two 4096-sample loops peaks near 1.3 MiB besides its inputs.
     """
     pa, qa = a3, np.roll(a3, -1, axis=0)
     pb, qb = b3, np.roll(b3, -1, axis=0)
     da, db = qa - pa, qb - pb
+    lo_a, hi_a = np.minimum(pa[:, :2], qa[:, :2]), np.maximum(pa[:, :2], qa[:, :2])
+    lo_b, hi_b = np.minimum(pb[:, :2], qb[:, :2]), np.maximum(pb[:, :2], qb[:, :2])
+    del qa, qb
 
     scale = _crossing_scale(da, db) + 1e-30
 
-    lo_a, hi_a = np.minimum(pa, qa)[:, :2], np.maximum(pa, qa)[:, :2]
-    lo_b, hi_b = np.minimum(pb, qb)[:, :2], np.maximum(pb, qb)[:, :2]
-    boxes = np.concatenate([hi_a - lo_a, hi_b - lo_b])
-    pad = 1e-6 * float(np.max(boxes, initial=0.0, where=np.isfinite(boxes)))
+    pad = 1e-6 * max(_widest(lo_a, hi_a), _widest(lo_b, hi_b))
+    for lo, hi in ((lo_a, hi_a), (lo_b, hi_b)):
+        lo -= pad
+        hi += pad
     hits: list[tuple[np.ndarray, ...]] = []
-    for ia, ib in _overlapping_boxes(lo_a - pad, hi_a + pad, lo_b - pad, hi_b + pad):
+    for ia, ib in _overlapping_boxes(lo_a, hi_a, lo_b, hi_b):
         denom = da[ia, 0] * db[ib, 1] - da[ia, 1] * db[ib, 0]
         offset = pb[ib, :2] - pa[ia, :2]
         cross_a = offset[:, 0] * db[ib, 1] - offset[:, 1] * db[ib, 0]
@@ -408,23 +432,27 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     componentwise, as exact differences.  The working set is two tiles of
     about ``_TILE_ELEMENTS`` floats, allocated once per call: a tile's
     ``|sep|^3`` is built in one, and its separations and then its triple
-    products in the other.  Raises SelfIntersectingSamples when two
-    midpoints coincide or the sum is not finite.
+    products in the other.  Besides the tiles, only the row midpoints ``ma``
+    and the three factors ``left``, ``right`` and ``columns`` stay bound
+    during the loop.  Raises SelfIntersectingSamples when two midpoints
+    coincide or the sum is not finite.
     """
     pole = _choose_pole((first, second))
     a3 = stereographic(first, pole)
-    b3 = stereographic(second, pole)
     da = np.roll(a3, -1, axis=0) - a3
-    db = np.roll(b3, -1, axis=0) - b3
     ma = a3 + 0.5 * da
-    mb = b3 + 0.5 * db
     left = np.concatenate([np.cross(ma, da), -da], axis=1)
+    del a3, da
+    b3 = stereographic(second, pole)
+    db = np.roll(b3, -1, axis=0) - b3
+    mb = b3 + 0.5 * db
     right = np.ascontiguousarray(np.concatenate([db, np.cross(db, mb)], axis=1).T)
     # unit-stride rows for the outer differences below
     columns = np.ascontiguousarray(mb.T)
+    del b3, db, mb
     # row tiles of about _TILE_ELEMENTS pairs each
-    step = max(1, _TILE_ELEMENTS // max(len(mb), 1))
-    sep_tile, norm_tile = np.empty((2, min(step, len(ma)), len(mb)))
+    step = max(1, _TILE_ELEMENTS // max(len(second), 1))
+    sep_tile, norm_tile = np.empty((2, min(step, len(ma)), len(second)))
     total = 0.0
     with np.errstate(all="ignore"):
         for start in range(0, len(ma), step):

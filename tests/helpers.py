@@ -27,9 +27,12 @@ from lagsurf.immersions import (
 )
 from lagsurf.linking import (
     _TILE_ELEMENTS,
+    _VIEW_SEEDS,
     DegenerateProjection,
     SelfIntersectingSamples,
-    _choose_pole,
+    _candidate_poles,
+    _view_rotation,
+    reeb_pushoff,
     stereographic,
 )
 from lagsurf.moves import (
@@ -745,13 +748,51 @@ def reference_planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     return int(np.sum(signs))
 
 
+def reference_choose_pole(curves) -> np.ndarray:
+    """The candidate pole farthest from every curve, over the stacked curves."""
+    stacked = np.concatenate(curves)
+    poles = _candidate_poles()
+    heights = stacked @ poles.T
+    closest = np.max(heights, axis=0)
+    best = int(np.argmin(closest))
+    if closest[best] > 1.0 - 1e-4:
+        raise DegenerateProjection("every candidate pole sits on a curve")
+    return poles[best]
+
+
+def reference_sphere_linking_number(first: np.ndarray, second: np.ndarray) -> int:
+    """Linking number of two sphere loops by the dense crossing scan of each view in turn."""
+    pole = reference_choose_pole((first, second))
+    a3 = stereographic(first, pole)
+    b3 = stereographic(second, pole)
+    last_error: Exception | None = None
+    for angle in _VIEW_SEEDS:
+        view = _view_rotation(angle)
+        try:
+            total = reference_planar_crossings(a3 @ view.T, b3 @ view.T)
+        except DegenerateProjection as err:
+            last_error = err
+            continue
+        if total % 2:
+            last_error = DegenerateProjection("odd crossing sum, view missed a pair")
+            continue
+        return total // 2
+    raise DegenerateProjection(f"all views degenerate: {last_error}")
+
+
+def reference_contact_framing(curve: np.ndarray, epsilon: float = 1e-2) -> int:
+    """The framing number through the dense embeddedness check and crossing scans."""
+    reference_require_embedded(curve)
+    return reference_sphere_linking_number(curve, reeb_pushoff(curve, epsilon))
+
+
 def reference_gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     """Gauss double-integral route over the stereographic images (unrounded).
 
     Kept independent of :func:`linking_number` so the two can validate each
     other; midpoint rule over segment pairs.
     """
-    pole = _choose_pole((first, second))
+    pole = reference_choose_pole((first, second))
     a3 = stereographic(first, pole)
     b3 = stereographic(second, pole)
     da = np.roll(a3, -1, axis=0) - a3
@@ -778,7 +819,7 @@ def reference_tiled_gauss_linking(first: np.ndarray, second: np.ndarray) -> floa
     The same tiles, operations and partial sums as ``gauss_linking``, so the
     two must return the same float.
     """
-    pole = _choose_pole((first, second))
+    pole = reference_choose_pole((first, second))
     a3 = stereographic(first, pole)
     b3 = stereographic(second, pole)
     da = np.roll(a3, -1, axis=0) - a3
