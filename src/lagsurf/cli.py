@@ -25,10 +25,8 @@ from .fronts import EventKind, FrontDiagram, FrontError, word
 from .moves import MoveDirection, MoveId, MoveInstance, apply_move, applicable_moves, equivalent_within
 from .render import render_svg
 from .surfaces import (
-    _PIECE_RECIPES,
     SurfaceComplex,
     SurfaceError,
-    _build_piece,
     cone_cap,
     euler_number,
     genus_chain,
@@ -37,6 +35,7 @@ from .surfaces import (
     mark_umbrella,
     mobius_smoothing,
     one_handle,
+    piece,
     split_cone,
 )
 from .table import ClosureMismatch, Rule, derive_table, verify_closure
@@ -54,7 +53,7 @@ def _read_text(path: str) -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _load_diagram(path: str) -> tuple[str, FrontDiagram]:
@@ -183,12 +182,7 @@ def run_surface_script(text: str) -> SurfaceComplex:
                 elif verb == "genus":
                     surface = genus_chain(_script_int(tokens, 1, lineno))
                 else:
-                    name = _script_token(tokens, 1, lineno)
-                    if name not in _PIECE_RECIPES:
-                        raise ValueError(
-                            f"unknown piece {name!r}; have {sorted(_PIECE_RECIPES)}"
-                        )
-                    surface = _build_piece(*_PIECE_RECIPES[name])
+                    surface = piece(_script_token(tokens, 1, lineno))
                 continue
             if surface is None:
                 raise ValueError("script must start with klein, genus, or piece")

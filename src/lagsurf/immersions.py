@@ -202,8 +202,8 @@ def pullback_residual(
     A vanishing pullback of the symplectic pairing is what makes the sheet
     Lagrangian; the residual is bounded by the scheme truncation ~ step^2.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     first, second = np.asarray(first, float), np.asarray(second, float)
     if family.apex_excluded and np.min(np.abs(second)) <= 2 * step:
         raise GridOutsideDomain(

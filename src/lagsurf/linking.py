@@ -2,6 +2,8 @@
 
 Curves live on the unit sphere in (q1, p1, q2, p2)-space and are passed
 around as (N, 4) sample arrays, closed implicitly (sample N wraps to 0).
+Each public oracle checks its samples once, on entry, without a copy: N >= 1
+and every entry finite, else InvalidSamples.  The kernels take that as given.
 Linking numbers are computed combinatorially: stereographic projection to
 3-space away from both curves, then a generic planar projection with signed
 crossings.  A Gauss-integral route over the same 3-space images is provided
@@ -27,6 +29,10 @@ import math
 import numpy as np
 
 
+class InvalidSamples(ValueError):
+    """Samples are not a non-empty (N, 4) array of finite numbers."""
+
+
 class DegenerateProjection(RuntimeError):
     """No tried projection separated the curves' crossings cleanly."""
 
@@ -46,21 +52,27 @@ _TILE_ELEMENTS = 1 << 16
 _CHUNK = 1 << 16
 
 
+def _samples(*curves: np.ndarray) -> None:
+    """Raise InvalidSamples unless every curve is (N, 4), N >= 1, and finite."""
+    for curve in curves:
+        if np.ndim(curve) != 2 or np.shape(curve)[1] != 4 or len(curve) < 1:
+            raise InvalidSamples(f"samples must be (N, 4) with N >= 1, not {np.shape(curve)}")
+        if not np.isfinite(curve).all():
+            raise InvalidSamples("samples must be finite")
+
+
 def _require_embedded(curve: np.ndarray) -> None:
     """Reject sample sets whose non-neighbours collide at sample resolution.
 
     A self-join of the samples at ``threshold``, half the longest step: the
     pairs :func:`_near_pairs` finds that are more than two steps apart along
-    the curve get their exact 4-D distances compared with it.  A non-finite
-    sample makes the threshold non-finite, and then no pair is compared.
+    the curve get their exact 4-D distances compared with it.
     """
     n = len(curve)
     if n < 8:
         raise SelfIntersectingSamples("too few samples to resolve a closed curve")
     gaps = np.linalg.norm(np.roll(curve, -1, axis=0) - curve, axis=1)
     threshold = 0.5 * float(np.max(gaps))
-    if not math.isfinite(threshold):
-        return
     for i, j in _near_pairs(curve, curve, threshold, self_join=True):
         band = np.abs(i - j)
         band = np.minimum(band, n - band)
@@ -83,19 +95,15 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = Fa
     own, three consecutive keys along the last axis per probe.  With
     ``self_join`` (``b`` is ``a``) a row probes its own cell from the next
     row on and the lexicographically positive rows of cells only, so each
-    unordered pair comes once and no row meets itself.  Rows with a
-    non-finite entry meet nothing.  Pairs come in chunks of at most
+    unordered pair comes once and no row meets itself.  Every entry must be
+    finite, and neither side empty.  Pairs come in chunks of at most
     ``_CHUNK``, so memory stays bounded when many rows share a cell.
     """
     dim = a.shape[1]
-    rows_a, a, origin, top = _finite_rows(a)
-    if self_join:
-        rows_b, b = rows_a, a
-    else:
-        rows_b, b, low_b, top_b = _finite_rows(b)
+    origin, top = _column_bounds(a)
+    if not self_join:
+        low_b, top_b = _column_bounds(b)
         origin, top = np.minimum(origin, low_b), np.maximum(top, top_b)
-    if len(a) == 0 or len(b) == 0:
-        return
     span = float(np.max(top - origin))
     # a hair over reach, so rounding cannot put a pair within reach two cells
     # apart; at most 2**15 cells per axis keeps that rounding far under the
@@ -112,9 +120,7 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = Fa
     key = keys(b)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    # row numbers stand for themselves when no row was filtered out
-    target = order if rows_b is None else rows_b[order]
-    probe, source = (key, target) if self_join else (keys(a), rows_a)
+    probe = key if self_join else keys(a)
     for row in itertools.product((-1, 0, 1), repeat=dim - 1):
         if self_join and row < (0,) * (dim - 1):
             continue
@@ -126,29 +132,13 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = Fa
             start = np.searchsorted(key, base - 1)
         stop = np.searchsorted(key, base + 1, side="right")
         for owner, index in _ranges(start, stop - start):
-            yield owner if source is None else source[owner], target[index]
-
-
-def _finite_rows(rows: np.ndarray):
-    """The indices of the rows with every entry finite, those rows, and their
-    column minima and maxima.
-
-    The column bounds are finite exactly when every entry is, and then the
-    rows are taken as they are, with no filter and no copy, and the indices
-    are ``None``: every row keeps its own number.
-    """
-    low, top = _column_bounds(rows)
-    if np.isfinite(low).all() and np.isfinite(top).all():
-        return None, rows, low, top
-    index = np.flatnonzero(np.isfinite(rows).all(1))
-    rows = rows[index]
-    return index, rows, *_column_bounds(rows)
+            yield (order[owner] if self_join else owner), order[index]
 
 
 def _column_bounds(rows: np.ndarray):
-    """Column minima and maxima, taken on a contiguous transpose (infinite if empty)."""
+    """Column minima and maxima, taken on a contiguous transpose."""
     columns = np.ascontiguousarray(rows.T)
-    return columns.min(1, initial=np.inf), columns.max(1, initial=-np.inf)
+    return columns.min(1), columns.max(1)
 
 
 def _ranges(start: np.ndarray, count: np.ndarray):
@@ -158,7 +148,7 @@ def _ranges(start: np.ndarray, count: np.ndarray):
     ``_CHUNK`` indices, so memory stays bounded however many there are.
     """
     ends = np.cumsum(count)
-    total = int(ends[-1]) if ends.size else 0
+    total = int(ends[-1])
     for lo_flat in range(0, total, _CHUNK):
         flat = np.arange(lo_flat, min(lo_flat + _CHUNK, total))
         owner = np.searchsorted(ends, flat, side="right")
@@ -202,15 +192,10 @@ def _crossing_scale(da: np.ndarray, db: np.ndarray) -> float:
     rounding onto an edge's normal still meets the best one.  Every
     candidate is the float a dense scan computes, and the two agree unless
     more than two points tie for the support up to rounding, where the
-    result can fall an ulp or so short.  Rows with a non-finite component
-    are left out, as in :func:`_overlapping_boxes`; when there are none the
-    (x, y) slices are used as they are.  Each candidate vertex array is
+    result can fall an ulp or so short.  Each candidate vertex array is
     folded into the maximum as it is made, so one is held at a time.
     """
-    a = _finite_rows(da[:, :2])[1]
-    b = _finite_rows(db[:, :2])[1]
-    if a.size == 0 or b.size == 0:
-        return 0.0
+    a, b = da[:, :2], db[:, :2]
     hull = _convex_hull(b)
     if len(hull) < 3:
         candidates = [np.broadcast_to(corner, a.shape) for corner in hull]
@@ -240,27 +225,18 @@ def _overlapping_boxes(lo_a, hi_a, lo_b, hi_b):
 
     Boxes are rows of ``lo``/``hi`` in any dimension.  The low corners of two
     overlapping boxes lie within the wider box's width on every axis, so the
-    pairs are :func:`_near_pairs` of the low corners at the widest finite
-    box, kept only if the boxes really overlap; each comes once.  Boxes with
-    a non-finite corner meet nothing.
+    pairs are :func:`_near_pairs` of the low corners at the widest box, kept
+    only if the boxes really overlap; each comes once.
     """
     reach = max(_widest(lo_a, hi_a), _widest(lo_b, hi_b))
-    # a non-finite high corner leaves out its box, as a non-finite low one
-    # does; when every high corner is finite the low corners serve as they are
-    corners = (
-        lo if np.isfinite(hi).all()
-        else np.where(np.isfinite(hi).all(1, keepdims=True), lo, np.nan)
-        for lo, hi in ((lo_a, hi_a), (lo_b, hi_b))
-    )
-    for i, j in _near_pairs(*corners, reach):
+    for i, j in _near_pairs(lo_a, lo_b, reach):
         meet = np.all((lo_a[i] <= hi_b[j]) & (lo_b[j] <= hi_a[i]), axis=1)
         yield i[meet], j[meet]
 
 
 def _widest(lo: np.ndarray, hi: np.ndarray) -> float:
-    """The largest finite ``hi - lo`` of the boxes, 0.0 if there is none."""
-    widths = hi - lo
-    return float(np.max(widths, initial=0.0, where=np.isfinite(widths)))
+    """The largest ``hi - lo`` of the boxes."""
+    return float(np.max(hi - lo))
 
 
 def reeb_pushoff(curve: np.ndarray, epsilon: float) -> np.ndarray:
@@ -398,6 +374,7 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
 
 def linking_number(first: np.ndarray, second: np.ndarray) -> int:
     """Combinatorial linking number of two disjoint sphere loops."""
+    _samples(first, second)
     pole = _choose_pole((first, second))
     a3 = stereographic(first, pole)
     b3 = stereographic(second, pole)
@@ -437,6 +414,7 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     during the loop.  Raises SelfIntersectingSamples when two midpoints
     coincide or the sum is not finite.
     """
+    _samples(first, second)
     pole = _choose_pole((first, second))
     a3 = stereographic(first, pole)
     da = np.roll(a3, -1, axis=0) - a3
@@ -451,7 +429,7 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     columns = np.ascontiguousarray(mb.T)
     del b3, db, mb
     # row tiles of about _TILE_ELEMENTS pairs each
-    step = max(1, _TILE_ELEMENTS // max(len(second), 1))
+    step = max(1, _TILE_ELEMENTS // len(second))
     sep_tile, norm_tile = np.empty((2, min(step, len(ma)), len(second)))
     total = 0.0
     with np.errstate(all="ignore"):
@@ -482,6 +460,7 @@ def contact_framing(curve: np.ndarray, epsilon: float = 1e-2) -> int:
     The push-off e^{i epsilon} never meets the curve, so any positive epsilon
     works; halving it must not change the answer, which tests exploit.
     """
+    _samples(curve)
     _require_embedded(curve)
     return linking_number(curve, reeb_pushoff(curve, epsilon))
 
@@ -493,6 +472,7 @@ def tangent_winding(curve: np.ndarray) -> int:
     h = z1 T2 - z2 T1 must stay away from zero; the summed angle increments
     must close up to an integer multiple of 2 pi.
     """
+    _samples(curve)
     tangent = (np.roll(curve, -1, axis=0) - np.roll(curve, 1, axis=0)) * 0.5
     speed = np.linalg.norm(tangent, axis=1)
     if float(np.min(speed)) < 1e-12:

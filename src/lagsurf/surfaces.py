@@ -329,7 +329,11 @@ _PIECE_RECIPES = {
 }
 
 
-def _build_piece(recipe_word: str, handle: tuple[int, int]) -> SurfaceComplex:
+def piece(name: str) -> SurfaceComplex:
+    """The catalog fragment ``name``, one of :func:`standard_pieces`."""
+    if name not in _PIECE_RECIPES:
+        raise ValueError(f"unknown piece {name!r}; have {sorted(_PIECE_RECIPES)}")
+    recipe_word, handle = _PIECE_RECIPES[name]
     knot = FrontDiagram.from_word(recipe_word)
     ((tb, rot),) = knot.classical_invariants()
     cone = SurfaceComplex(
@@ -351,10 +355,7 @@ def standard_pieces() -> dict[str, SurfaceComplex]:
     * ``cylinder4``: two-sided, chi 0, four basic cone points, two once
       linked trivial boundary circles.
     """
-    return {
-        name: _build_piece(word_text, handle)
-        for name, (word_text, handle) in _PIECE_RECIPES.items()
-    }
+    return {name: piece(name) for name in _PIECE_RECIPES}
 
 
 def klein_base() -> SurfaceComplex:

@@ -171,6 +171,15 @@ def test_surface_build_piece_pipeline(capsys, tmp_path):
     assert payload["boundary_components"] == 0
 
 
+def test_surface_build_unknown_piece(capsys, tmp_path):
+    script = tmp_path / "x.surf"
+    script.write_text("piece x\n")
+    code, out, err = run(capsys, "surface", "build", str(script))
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown piece 'x'; have ['cylinder2', 'cylinder4', 'mobius3']\n"
+
+
 @pytest.mark.parametrize(
     "lines",
     ["", "split 0\n", "klein\ngenus 2\n", "klein\nwobble 1\n", "klein\nsplit\n"],
@@ -380,6 +389,24 @@ def test_verify_rejects_bad_parameter(capsys):
     code, _, err = run(capsys, "verify", "strip", "--a", "1.5")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strip", "--step", "nan"],
+        ["strip", "--tolerance", "nan"],
+        ["curve", "--tolerance", "inf"],
+        # finite, but the differences overflow and the residual is NaN
+        ["umbrella", "--step", "1e308"],
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_verify_never_prints_non_standard_json(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_writes_csv(capsys, tmp_path):

@@ -63,6 +63,12 @@ def test_cone_pullback_vanishes_off_apex():
     assert report.passed
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf, -math.inf])
+def test_pullback_rejects_a_step_that_is_not_positive_and_finite(step):
+    with pytest.raises(ValueError, match="^step must be positive"):
+        pullback_residual(umbrella_family(), HALF_TURN, HALF_TURN, step)
+
+
 def test_cone_grid_through_apex_is_rejected():
     with pytest.raises(GridOutsideDomain):
         pullback_residual(cone_family(), HALF_TURN, np.linspace(-1.0, 1.0, 9))

@@ -23,6 +23,7 @@ from lagsurf.immersions import boundary_curve, cone_family, pullback_residual
 from lagsurf.linking import (
     _VIEW_SEEDS,
     DegenerateProjection,
+    InvalidSamples,
     SelfIntersectingSamples,
     TangentDegenerate,
     _choose_pole,
@@ -157,6 +158,59 @@ def test_stalled_samples_degenerate_the_tangent():
     curve[10] = curve[8]
     with pytest.raises(TangentDegenerate):
         tangent_winding(curve)
+
+
+def with_rows(curve, rows, value):
+    curve = curve.copy()
+    curve[rows] = value
+    return curve
+
+
+INVALID_SAMPLES = {
+    # samples 10 to 59 of the boundary curve lost; its framing is still -2
+    "holed": lambda: with_rows(boundary_curve(S), slice(10, 60), np.nan),
+    "one_nan": lambda: with_rows(boundary_curve(S), 10, np.nan),
+    "five_nan": lambda: with_rows(boundary_curve(S), slice(10, 15), np.nan),
+    "inf_rows": lambda: with_rows(boundary_curve(S), slice(10, 60), np.inf),
+    "one_minus_inf": lambda: with_rows(flat_circle(), (3, 2), -np.inf),
+    "nan_fibre_sample": lambda: with_rows(fiber(1.0, 0.0), 7, np.nan),
+    "three_columns": lambda: boundary_curve(S)[:, :3],
+    "empty": lambda: np.empty((0, 4)),
+    "one_dimension": lambda: boundary_curve(S)[0],
+}
+
+
+@pytest.mark.parametrize("name", INVALID_SAMPLES)
+def test_oracles_reject_invalid_samples(name):
+    bad, good = INVALID_SAMPLES[name](), fiber(0.0, 1.0)
+    calls = [
+        (contact_framing, bad),
+        (tangent_winding, bad),
+        (linking_number, bad, good),
+        (linking_number, good, bad),
+        (gauss_linking, bad, good),
+        (gauss_linking, good, bad),
+    ]
+    for oracle, *curves in calls:
+        with pytest.raises(InvalidSamples):
+            oracle(*curves)
+
+
+def test_oracles_take_other_real_dtypes():
+    # the sample check converts nothing: these dtypes give the answers they gave
+    # before it
+    for dtype in (np.float32, np.float16):
+        curve = boundary_curve(S).astype(dtype)
+        assert contact_framing(curve) == -2
+        assert tangent_winding(curve) == 1
+    first, second = (curve.astype(np.float32) for curve in sample_pairs(N)["hopf"])
+    assert linking_number(first, second) == 1
+    assert gauss_linking(first, second) == reference_tiled_gauss_linking(first, second)
+    # integer samples: four points on each of two circle-action fibres
+    axes = np.eye(4, dtype=int)
+    first = np.array([axes[0], axes[1], -axes[0], -axes[1]])
+    assert tangent_winding(first) == -1
+    assert linking_number(first, np.array([axes[2], axes[3], -axes[2], -axes[3]])) == 1
 
 
 @settings(max_examples=20)
@@ -400,12 +454,6 @@ def test_crossing_scale_edge_cases():
     for first, second in cases:
         assert_same_scale(first, second)
         assert_same_scale(second, first)
-    # a row with a non-finite component is left out of the max
-    holed = da.copy()
-    holed[4, 1] = np.nan
-    finite = np.delete(holed, 4, axis=0)
-    assert _crossing_scale(holed, da) == reference_crossing_scale(finite, da)
-    assert _crossing_scale(da, holed) == reference_crossing_scale(da, finite)
 
 
 def peak_mib(call, *args):
@@ -445,8 +493,6 @@ def test_overlapping_boxes_match_a_scan():
         lo_a, lo_b = rng.standard_normal((na, dim)), rng.standard_normal((nb, dim))
         hi_a = lo_a + rng.exponential(0.3, (na, dim)) * (rng.random((na, 1)) < 0.8)
         hi_b = lo_b + rng.exponential(0.3, (nb, dim))
-        if trial % 5 == 0:
-            lo_a[0, 0] = np.nan  # a box with a non-finite corner meets nothing
         found = sorted(
             (int(i), int(j))
             for ia, ib in _overlapping_boxes(lo_a, hi_a, lo_b, hi_b)
@@ -464,18 +510,16 @@ def test_overlapping_boxes_match_a_scan():
 def test_near_pairs_match_a_scan():
     rng = np.random.default_rng(5)
     for trial in range(200):
-        dim, self_join, case = 1 + trial % 4, trial % 8 >= 4, trial // 8 % 5
+        dim, self_join, case = 1 + trial % 4, trial % 8 >= 4, trial // 8 % 4
         na, nb = (int(k) for k in rng.integers(1, 40, 2))
         a, b = rng.standard_normal((na, dim)), rng.standard_normal((nb, dim))
         reach = float(rng.exponential(0.5))
-        if case == 1:  # rows with a non-finite entry meet nothing
-            a[0, -1], b[-1, 0] = np.nan, np.inf
-        elif case == 2:  # coincident rows, and pairs exactly at reach
+        if case == 1:  # coincident rows, and pairs exactly at reach
             a, b = (rng.integers(-9, 10, (n, dim)) * 0.1 for n in (na, nb))
             reach = 0.1
-        elif case == 3:  # every row equal: the span is 0
+        elif case == 2:  # every row equal: the span is 0
             a, b = np.full((na, dim), 0.25), np.full((nb, dim), 0.25)
-        elif case == 4:  # reach 0 meets coincident rows only
+        elif case == 3:  # reach 0 meets coincident rows only
             a, b = (rng.integers(-2, 3, (n, dim)) * 0.5 for n in (na, nb))
             reach = 0.0
         if self_join:
@@ -486,13 +530,11 @@ def test_near_pairs_match_a_scan():
             for i, j in zip(ia, ib)
         ]
         assert len(set(found)) == len(found)
-        finite_a, finite_b = np.isfinite(a).all(1), np.isfinite(b).all(1)
-        assert all(finite_a[i] and finite_b[j] for i, j in found)
         near = {
             (i, j)
             for i in range(len(a))
             for j in range(len(b))
-            if finite_a[i] and finite_b[j] and np.all(np.abs(a[i] - b[j]) <= reach)
+            if np.all(np.abs(a[i] - b[j]) <= reach)
         }
         if self_join:
             assert all(i != j for i, j in found)

@@ -1,5 +1,6 @@
 """The maintenance scripts, run in-process on small inputs."""
 
+import ast
 import importlib.util
 import pathlib
 
@@ -54,6 +55,20 @@ def test_regenerate_table_deep_check_below_the_floor_is_a_usage_error(capsys):
         assert err.splitlines()[-1].endswith(
             f"error: argument --deep-check: must be at least -2000, got {value}"
         )
+
+
+def test_no_behaviour_rests_on_assert():
+    # ``python -O`` strips assert statements, so the library and the scripts
+    # check with ``if`` and raise
+    paths = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").rglob("*.py")])
+    assert len(paths) > 10
+    asserts = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_render_corpus(tmp_path, capsys):
