@@ -338,6 +338,17 @@ def _table_check(args) -> int:
 # Points per axis of the strip, cone and umbrella grids without --grid.
 _DEFAULT_GRID = 64
 
+# The options of ``verify`` with their defaults, and the ones each family
+# reads; giving an option that the family does not read is a usage error.
+_VERIFY_DEFAULTS = {"a": 0.5, "grid": _DEFAULT_GRID, "step": 1e-4, "tolerance": 1e-6, "csv": None}
+_VERIFY_READS = {
+    "strip": ("a", "grid", "step", "tolerance", "csv"),
+    "cone": ("grid", "step", "tolerance", "csv"),
+    "umbrella": ("grid", "step", "tolerance", "csv"),
+    "curve": ("tolerance", "csv"),
+    "convergence": (),
+}
+
 
 def _report_dict(check: str, report) -> dict:
     return {"check": check, **asdict(report)}
@@ -352,10 +363,19 @@ def _write_csv(path: str, params: Sequence[str], rows) -> None:
             writer.writerow([*(f"{v:.6f}" for v in values), *(f"{c:.9f}" for c in point)])
 
 
+def _verify_options(args) -> None:
+    """Fill in the defaults; a usage error if an option given goes unread."""
+    for option, default in _VERIFY_DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, default)
+        elif option not in _VERIFY_READS[args.family]:
+            *others, last = (f for f, reads in _VERIFY_READS.items() if option in reads)
+            families = f"{', '.join(others)} and {last}" if others else last
+            args.usage_error(f"--{option} applies to {families} only")
+
+
 def _verify(args) -> int:
-    if args.grid is not None and args.family not in ("strip", "cone", "umbrella"):
-        args.usage_error("--grid applies to strip, cone and umbrella only")
-    per_axis = _DEFAULT_GRID if args.grid is None else args.grid
+    _verify_options(args)
 
     import numpy as np
 
@@ -389,14 +409,14 @@ def _verify(args) -> int:
         half = strip_half_width(args.a)
         return grid(
             strip_family(args.a),
-            np.linspace(0.0, math.pi, per_axis),
-            np.linspace(-half, half, per_axis),
+            np.linspace(0.0, math.pi, args.grid),
+            np.linspace(-half, half, args.grid),
             ("identities", strip_identities(args.a)),
             a=args.a,
         )
 
     def umbrella():
-        square = np.linspace(-1.0, 1.0, per_axis)
+        square = np.linspace(-1.0, 1.0, args.grid)
         return grid(umbrella_family(), square, square, ("liouville", liouville_identity()))
 
     def curve():
@@ -412,8 +432,8 @@ def _verify(args) -> int:
         "strip": strip,
         "cone": lambda: grid(
             cone_family(),
-            np.linspace(0.0, math.pi, per_axis),
-            np.linspace(0.1, 1.0, per_axis),
+            np.linspace(0.0, math.pi, args.grid),
+            np.linspace(0.1, 1.0, args.grid),
         ),
         "umbrella": umbrella,
         "curve": curve,
@@ -425,7 +445,7 @@ def _verify(args) -> int:
         checks, extra, extra_ok, samples = families[args.family]()
     except DegenerateProjection as err:
         return _domain_error(err)
-    if args.csv and samples:
+    if args.csv:
         _write_csv(args.csv, *samples)
 
     reports = [_report_dict(check, report) for check, report in checks]
@@ -516,12 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numeric residual checks")
     p.add_argument("family", choices=("strip", "cone", "umbrella", "curve", "convergence"))
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--grid", type=_int_at_least(2), default=None,
+    p.add_argument("--a", type=float)
+    p.add_argument("--grid", type=_int_at_least(2),
                    help=f"points per axis for strip, cone and umbrella (default {_DEFAULT_GRID})")
-    p.add_argument("--step", type=float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--csv", default=None)
+    p.add_argument("--step", type=float)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--csv")
     p.set_defaults(handler=_verify, usage_error=p.error)
 
     return parser

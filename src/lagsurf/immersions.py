@@ -34,7 +34,7 @@ import numpy as np
 
 
 # Grid points per block of a residual sweep.
-_TILE_ELEMENTS = 1 << 14
+_TILE_ELEMENTS = 1 << 13
 
 
 class AOutOfRange(ValueError):
@@ -43,6 +43,10 @@ class AOutOfRange(ValueError):
 
 class GridOutsideDomain(ValueError):
     """Requested grid touches the family's singular locus."""
+
+
+class ResidualNotFinite(ValueError):
+    """A residual sweep overflowed: its step is too large for the chart."""
 
 
 @dataclass(frozen=True)
@@ -63,22 +67,32 @@ class VerificationReport:
 class ImmersionFamily:
     """A two-parameter complex chart into C^2 with a named singular locus.
 
-    ``chart(first, second)`` returns the pair ``(z1, z2)`` of the formulas
-    above.  It takes any two arrays that broadcast against each other, such
-    as a column of first parameters and a row of second ones, so each factor
-    that depends on one parameter is computed once per value of it.  On a
-    column and a row it returns new arrays of the broadcast shape, which a
-    residual sweep overwrites with its differences.  :meth:`evaluator` is
-    the packed view of the chart: the same points as (q1, p1, q2, p2) along
-    a trailing axis of 4.
+    ``chart(first, second, out=None)`` returns the pair ``(z1, z2)`` of the
+    formulas above.  It takes any two arrays that broadcast against each
+    other, such as a column of first parameters and a row of second ones,
+    so each factor that depends on one parameter is computed once per value
+    of it.  It writes the points into ``out``, a pair of complex arrays of
+    the broadcast shape, and returns them; without ``out`` it makes the
+    pair.  Its grid-sized operations all write into ``out``, so a residual
+    sweep that passes its own arrays allocates nothing per grid point.
+    :meth:`evaluator` is the packed view of the chart: the same points as
+    (q1, p1, q2, p2) along a trailing axis of 4.
     """
 
     name: str
-    chart: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    chart: Callable[..., tuple[np.ndarray, np.ndarray]]
     apex_excluded: bool = False
 
     def evaluator(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         return _pack(*self.chart(first, second))
+
+
+def _outputs(out, *args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``out``, or a new pair of complex arrays of the arguments' broadcast shape."""
+    if out is None:
+        shape = np.broadcast_shapes(*(np.shape(arg) for arg in args))
+        out = np.empty(shape, complex), np.empty(shape, complex)
+    return out
 
 
 def _pack(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -112,30 +126,33 @@ def strip_family(a: float) -> ImmersionFamily:
     if not 0 < a < math.sqrt(2):
         raise AOutOfRange(f"strip parameter must be in (0, sqrt 2), got {a}")
 
-    def chart(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def chart(s: np.ndarray, t: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         s, t = np.asarray(s, float), np.asarray(t, float)
-        z1 = a * (-1j / math.sqrt(2)) * np.sqrt(1 + t**2) * np.exp(2j * s)
-        z2 = a * t * np.exp(-1j * s)
+        z1, z2 = _outputs(out, s, t)
+        np.multiply(a * (-1j / math.sqrt(2)) * np.sqrt(1 + t**2), np.exp(2j * s), out=z1)
+        np.multiply(a * t, np.exp(-1j * s), out=z2)
         return z1, z2
 
     return ImmersionFamily("strip", chart)
 
 
 def cone_family() -> ImmersionFamily:
-    def chart(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def chart(s: np.ndarray, t: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         s, t = np.asarray(s, float), np.asarray(t, float)
-        z1 = (-1j / math.sqrt(2)) * np.abs(t) * np.exp(2j * s)
-        z2 = t * np.exp(-1j * s)
+        z1, z2 = _outputs(out, s, t)
+        np.multiply((-1j / math.sqrt(2)) * np.abs(t), np.exp(2j * s), out=z1)
+        np.multiply(t, np.exp(-1j * s), out=z2)
         return z1, z2
 
     return ImmersionFamily("cone", chart, apex_excluded=True)
 
 
 def umbrella_family() -> ImmersionFamily:
-    def chart(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def chart(t: np.ndarray, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         t, u = np.asarray(t, float), np.asarray(u, float)
-        z1 = t**2 + 1j * t * u
-        z2 = u + (2.0 / 3.0) * 1j * t**3
+        z1, z2 = _outputs(out, t, u)
+        np.add(t**2, np.multiply(1j * t, u, out=z1), out=z1)
+        np.add(u, (2.0 / 3.0) * 1j * t**3, out=z2)
         return z1, z2
 
     return ImmersionFamily("umbrella", chart)
@@ -157,37 +174,21 @@ def boundary_curve_tangent(s: np.ndarray) -> np.ndarray:
     return _pack(t1, t2)
 
 
-def _difference_quotient(chart, plus, minus, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(chart(*plus) - chart(*minus)) / width``, in place in ``chart(*plus)``.
+def _difference_quotient(chart, plus, minus, width: float, out, scratch):
+    """``(chart(*plus) - chart(*minus)) / width``, in place in ``out``.
 
-    The quotient is taken per real component, through a float view of each
-    coordinate, as on the packed (q1, p1, q2, p2) array: a complex array
-    divided by a float is multiplied by its reciprocal, which changes bits.
+    ``chart(*minus)`` is written into ``scratch``.  The quotient is taken per
+    real component, through a float view of each coordinate, as on the
+    packed (q1, p1, q2, p2) array: a complex array divided by a float is
+    multiplied by its reciprocal, which changes bits.
     """
-    z1, z2 = chart(*plus)
-    w1, w2 = chart(*minus)
+    z1, z2 = chart(*plus, out=out)
+    w1, w2 = chart(*minus, out=scratch)
     for z, w in ((z1, w1), (z2, w2)):
         z -= w
         parts = z.view(float)
         parts /= width
     return z1, z2
-
-
-def _tile_pairing(chart, column: np.ndarray, row: np.ndarray, step: float) -> np.ndarray:
-    """omega(d1 f, d2 f) on the block of the grid ``column`` by ``row``.
-
-    omega is :func:`symplectic_pairing` of the difference quotients, term for
-    term and in its order, so the residual keeps the bits of the packed
-    sweep.  The quotients are freed on return.
-    """
-    width = 2 * step
-    u1, u2 = _difference_quotient(chart, (column + step, row), (column - step, row), width)
-    v1, v2 = _difference_quotient(chart, (column, row + step), (column, row - step), width)
-    omega = u1.real * v1.imag
-    omega -= u1.imag * v1.real
-    omega += u2.real * v2.imag
-    omega -= u2.imag * v2.real
-    return omega
 
 
 def pullback_residual(
@@ -201,6 +202,16 @@ def pullback_residual(
 
     A vanishing pullback of the symplectic pairing is what makes the sheet
     Lagrangian; the residual is bounded by the scheme truncation ~ step^2.
+    Raises ResidualNotFinite, naming the step, when the sweep overflows.
+
+    The grid is swept in blocks of rows, each a column of first values
+    against the row of second ones, of about ``_TILE_ELEMENTS`` points.
+    Every block is written into arrays allocated once per call: the
+    quotients ``u`` along the first axis and ``v`` along the second, each a
+    complex pair, the pair ``w`` that the charts at the minus points fill,
+    and two float arrays for omega and its terms.  omega is
+    :func:`symplectic_pairing` of the quotients, term for term and in its
+    order, so the residual keeps the bits of the packed sweep.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -209,19 +220,31 @@ def pullback_residual(
         raise GridOutsideDomain(
             f"{family.name} family needs the grid clear of its apex at T = 0"
         )
-    # the grid is swept in blocks of rows; the max of block maxima is the max.
-    # Each block is a column of first values against the row of second ones.
     tile = max(1, _TILE_ELEMENTS // max(len(second), 1))
-    row = second[None, :]
-    # One block's pairing stays bound while the next block is computed.  When
-    # a block freed every array it made, glibc gave that memory back to the
-    # system and the next block faulted it in again: in a fresh interpreter,
-    # about 4x the page faults of this loop and twice its time.
+    block = (min(tile, len(first)), len(second))
+    pairs = np.empty((3, 2, *block), complex)
+    omega, term = np.empty((2, *block))
+    row, width = second[None, :], 2 * step
     maxima = []
-    for start in range(0, len(first), tile):
-        omega = _tile_pairing(family.chart, first[start : start + tile, None], row, step)
-        maxima.append(np.max(np.abs(omega)))
+    with np.errstate(all="ignore"):
+        for start in range(0, len(first), tile):
+            column = first[start : start + tile, None]
+            u, v, w = pairs[:, :, : len(column)]
+            u1, u2 = _difference_quotient(
+                family.chart, (column + step, row), (column - step, row), width, u, w
+            )
+            v1, v2 = _difference_quotient(
+                family.chart, (column, row + step), (column, row - step), width, v, w
+            )
+            pairing, scratch = omega[: len(column)], term[: len(column)]
+            np.multiply(u1.real, v1.imag, out=pairing)
+            pairing -= np.multiply(u1.imag, v1.real, out=scratch)
+            pairing += np.multiply(u2.real, v2.imag, out=scratch)
+            pairing -= np.multiply(u2.imag, v2.real, out=scratch)
+            maxima.append(np.max(np.abs(pairing, out=pairing)))
     residual = np.max(maxima)
+    if not math.isfinite(residual):
+        raise ResidualNotFinite(f"pullback residual is not finite at step {step:g}")
     grid = f"{family.name} {len(first)}x{len(second)} step {step:g}"
     return VerificationReport.from_residual(residual, grid, tolerance)
 

@@ -697,12 +697,6 @@ def reference_require_embedded(curve: np.ndarray) -> None:
         )
 
 
-def reference_crossing_scale(da: np.ndarray, db: np.ndarray) -> float:
-    """The largest |denom| of :func:`reference_planar_crossings`, all pairs at once."""
-    denom = da[:, None, 0] * db[None, :, 1] - da[:, None, 1] * db[None, :, 0]
-    return float(np.max(np.abs(denom)))
-
-
 def reference_planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     """Signed inter-curve crossing sum in the (x, y) view of two 3-space loops.
 

@@ -401,12 +401,49 @@ def test_verify_rejects_bad_parameter(capsys):
         ["umbrella", "--step", "1e308"],
     ],
 )
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_verify_never_prints_non_standard_json(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, option, families",
+    [
+        (["curve", "--step", "nan"], "--step", "strip, cone and umbrella"),
+        (["curve", "--a", "0.5"], "--a", "strip"),
+        (["cone", "--a", "0.5"], "--a", "strip"),
+        (["umbrella", "--a", "1", "--grid", "8"], "--a", "strip"),
+        (["convergence", "--step", "nan", "--tolerance", "5", "--a", "9"], "--a", "strip"),
+        (["convergence", "--tolerance", "5"], "--tolerance", "strip, cone, umbrella and curve"),
+        (["convergence", "--csv", "out.csv"], "--csv", "strip, cone, umbrella and curve"),
+    ],
+    ids=["curve-step", "curve-a", "cone-a", "umbrella-a", "convergence-a",
+         "convergence-tolerance", "convergence-csv"],
+)
+def test_verify_rejects_an_option_its_family_does_not_read(capsys, argv, option, families):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"lagsurf verify: error: {option} applies to {families} only"
+    ]
+
+
+def test_verify_defaults_match_the_options_given_explicitly(capsys):
+    explicit = {
+        "strip": ["--a", "0.5", "--grid", "64", "--step", "1e-4", "--tolerance", "1e-6"],
+        "cone": ["--grid", "64", "--step", "0.0001", "--tolerance", "0.000001"],
+        "umbrella": ["--grid", "64", "--step", "1e-4", "--tolerance", "1e-6"],
+        "curve": ["--tolerance", "1e-6"],
+        "convergence": [],
+    }
+    for family, options in explicit.items():
+        assert run(capsys, "verify", family) == run(capsys, "verify", family, *options)
 
 
 def test_verify_writes_csv(capsys, tmp_path):

@@ -12,6 +12,7 @@ from lagsurf.immersions import (
     _TILE_ELEMENTS,
     AOutOfRange,
     GridOutsideDomain,
+    ResidualNotFinite,
     VerificationReport,
     _pack,
     boundary_curve,
@@ -69,6 +70,13 @@ def test_pullback_rejects_a_step_that_is_not_positive_and_finite(step):
         pullback_residual(umbrella_family(), HALF_TURN, HALF_TURN, step)
 
 
+@pytest.mark.filterwarnings("error")
+def test_pullback_names_a_step_that_overflows():
+    # finite, but the differences overflow and the residual is NaN
+    with pytest.raises(ResidualNotFinite, match=r"^pullback residual is not finite at step 1e\+308$"):
+        pullback_residual(umbrella_family(), HALF_TURN, HALF_TURN, 1e308)
+
+
 def test_cone_grid_through_apex_is_rejected():
     with pytest.raises(GridOutsideDomain):
         pullback_residual(cone_family(), HALF_TURN, np.linspace(-1.0, 1.0, 9))
@@ -115,9 +123,9 @@ def test_pullback_evaluates_one_axis_at_a_time(name):
     family, first, second = SWEEPS[name]
     sizes = []
 
-    def recording(*args):
+    def recording(*args, out=None):
         sizes.extend(np.size(arg) for arg in args)
-        return family.chart(*args)
+        return family.chart(*args, out=out)
 
     spy = dataclasses.replace(family, chart=recording)
     report = pullback_residual(spy, np.linspace(*first, 1024), np.linspace(*second, 1024))
