@@ -4,18 +4,20 @@
 Writes the grid (text or JSON, same payloads as ``lagsurf table``) and then
 replays every derivation witness through the surface layer, checking that
 each lands on its claimed (chi, twist) cell; a witness that does not is
-reported as an ``error:`` line with exit status 1.
+reported as an ``error:`` line with exit status 1.  The replay folds over
+the rows: each node's surface is its parent's with the one script line of
+its last rule applied, so it takes one surface step per node.
 """
 
 import argparse
 import sys
 
 from lagsurf.cli import (
+    _RULE_LINES,
     _TABLE_MIN_CHI,
     _int_at_least,
+    _script_line,
     main as cli_main,
-    run_surface_script,
-    witness_script,
 )
 from lagsurf.surfaces import euler_number
 from lagsurf.table import derive_table, verify_closure
@@ -33,18 +35,26 @@ def run(argv=None) -> int:
     if code:
         return code
 
+    tokens = {rule: line.split() for rule, line in _RULE_LINES.items()}
+
+    def step(state, rule):
+        # a child's surface is its parent's with the next line of its witness
+        # script run; surfaces are frozen, so siblings share the parent's
+        surface, lineno = state
+        return _script_line(surface, tokens[rule], lineno + 1), lineno + 1
+
     graph = derive_table(args.min_chi)
-    for node, path in sorted(graph.witnesses.items(), key=lambda kv: (-kv[0].chi, kv[0].euler)):
-        surface = run_surface_script("\n".join(witness_script(path)) + "\n")
-        landed = (surface.chi, euler_number(surface))
-        if landed != (node.chi, node.euler):
-            print(
-                f"error: witness for (chi, e) = ({node.chi}, {node.euler}) "
-                f"replays to {landed}",
-                file=sys.stderr,
-            )
-            return 1
-    print(f"replayed {len(graph.witnesses)} witnesses", file=sys.stderr)
+    rows = graph.fold((_script_line(None, ["klein"], 1), 1), step)
+    for i, (row, states) in enumerate(zip(graph.eulers, rows)):
+        for euler, (surface, _) in sorted(zip(row, states), key=lambda pair: pair[0]):
+            landed = (surface.chi, euler_number(surface))
+            if landed != (-i, euler):
+                print(
+                    f"error: witness for (chi, e) = ({-i}, {euler}) replays to {landed}",
+                    file=sys.stderr,
+                )
+                return 1
+    print(f"replayed {sum(map(len, graph.eulers))} witnesses", file=sys.stderr)
 
     report = verify_closure(args.deep_check)
     print(

@@ -149,19 +149,53 @@ def _moves_equiv(args) -> int:
 # -- surface scripts -----------------------------------------------------
 
 
-def _script_token(tokens: list[str], k: int, lineno: int) -> str:
-    """Token ``k`` of a script line: the verb at 0, then its arguments."""
-    if k < len(tokens):
-        return tokens[k]
-    raise ValueError(f"script line {lineno}: {tokens[0]} is missing arguments")
-
-
-def _script_int(tokens: list[str], k: int, lineno: int) -> int:
-    token = _script_token(tokens, k, lineno)
+def _script_arg(kind, token: str, lineno: int):
+    if kind is not int:
+        return kind(token)
     try:
         return int(token)
     except ValueError:
         raise ValueError(f"script line {lineno}: expected an integer, got {token!r}")
+
+
+# Each script verb's operation and the types of its arguments.  A starter's
+# operation makes the surface; every other one takes the surface first.
+_STARTERS = ("klein", "genus", "piece")
+_SCRIPT_VERBS = {
+    "klein": (klein_base, ()),
+    "genus": (genus_chain, (int,)),
+    "piece": (piece, (str,)),
+    "split": (split_cone, (int,)),
+    "smooth": (mobius_smoothing, (int,)),
+    "glue3": (glue_mobius_three_umbrellas, ()),
+    "mark": (mark_umbrella, (int,)),
+    "cap": (cone_cap, (int, lambda text: FrontDiagram(word(text)))),
+    "handle": (one_handle, (int, int)),
+}
+
+
+def _script_line(surface: SurfaceComplex | None, tokens: list[str], lineno: int):
+    """The surface after one script line, given as its tokens, verb first."""
+    verb = tokens[0]
+    if verb in _STARTERS:
+        if surface is not None:
+            raise ValueError("a script has exactly one starter line")
+    elif surface is None:
+        raise ValueError("script must start with klein, genus, or piece")
+    elif verb not in _SCRIPT_VERBS:
+        raise ValueError(f"unknown verb {verb!r}")
+    operation, kinds = _SCRIPT_VERBS[verb]
+    if verb == "cap" and len(tokens) > 1:
+        # the model word is the rest of the line, possibly empty
+        tokens = [*tokens[:2], " ".join(tokens[2:])]
+    if len(tokens) != 1 + len(kinds):
+        problem = "is missing" if len(tokens) <= len(kinds) else "has too many"
+        raise ValueError(f"script line {lineno}: {verb} {problem} arguments")
+    try:
+        args = [_script_arg(kind, token, lineno) for kind, token in zip(kinds, tokens[1:])]
+        return operation(*args) if surface is None else operation(surface, *args)
+    except (FrontError, SurfaceError) as err:
+        raise type(err)(f"script line {lineno}: {err}") from err
 
 
 def run_surface_script(text: str) -> SurfaceComplex:
@@ -170,41 +204,8 @@ def run_surface_script(text: str) -> SurfaceComplex:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         cut = raw.find("#")
         tokens = (raw[:cut] if cut >= 0 else raw).split()
-        if not tokens:
-            continue
-        verb = tokens[0]
-        try:
-            if verb in ("klein", "genus", "piece"):
-                if surface is not None:
-                    raise ValueError("a script has exactly one starter line")
-                if verb == "klein":
-                    surface = klein_base()
-                elif verb == "genus":
-                    surface = genus_chain(_script_int(tokens, 1, lineno))
-                else:
-                    surface = piece(_script_token(tokens, 1, lineno))
-                continue
-            if surface is None:
-                raise ValueError("script must start with klein, genus, or piece")
-            if verb == "split":
-                surface = split_cone(surface, _script_int(tokens, 1, lineno))
-            elif verb == "smooth":
-                surface = mobius_smoothing(surface, _script_int(tokens, 1, lineno))
-            elif verb == "glue3":
-                surface = glue_mobius_three_umbrellas(surface)
-            elif verb == "mark":
-                surface = mark_umbrella(surface, _script_int(tokens, 1, lineno))
-            elif verb == "cap":
-                model = FrontDiagram(word(" ".join(tokens[2:])))
-                surface = cone_cap(surface, _script_int(tokens, 1, lineno), model)
-            elif verb == "handle":
-                surface = one_handle(
-                    surface, _script_int(tokens, 1, lineno), _script_int(tokens, 2, lineno)
-                )
-            else:
-                raise ValueError(f"unknown verb {verb!r}")
-        except (FrontError, SurfaceError) as err:
-            raise type(err)(f"script line {lineno}: {err}") from err
+        if tokens:
+            surface = _script_line(surface, tokens, lineno)
     if surface is None:
         raise ValueError("empty script")
     return surface

@@ -47,6 +47,10 @@ class EventKind(str, Enum):
         return self.value
 
 
+# The change in the strand count across an event of each kind.
+STRAND_CHANGE = {EventKind.LEFT_CUSP: 2, EventKind.CROSSING: 0, EventKind.RIGHT_CUSP: -2}
+
+
 @dataclass(frozen=True, order=True)
 class FrontEvent:
     """A single slice event at a 1-based strand position (1 = top strand)."""
@@ -457,14 +461,10 @@ class FrontDiagram:
         out = []
         n = 0
         for ev in self.events:
-            if ev.kind is EventKind.LEFT_CUSP:
-                out.append(FrontEvent(ev.kind, n + 2 - ev.pos))
-                n += 2
-            elif ev.kind is EventKind.CROSSING:
-                out.append(FrontEvent(ev.kind, n - ev.pos))
-            else:
-                out.append(FrontEvent(ev.kind, n - ev.pos))
-                n -= 2
+            # the event's pair, counted from the bottom of its fuller side
+            after = n + STRAND_CHANGE[ev.kind]
+            out.append(FrontEvent(ev.kind, max(n, after) - ev.pos))
+            n = after
         # the mirror swaps each birth pair: arc a of the mirror corresponds
         # to arc a^1 here, and horizontal directions are preserved
         return self._pushed_forward(FrontDiagram(tuple(out)), lambda a: a ^ 1, +1)

@@ -249,9 +249,7 @@ def pullback_residual(
     return VerificationReport.from_residual(residual, grid, tolerance)
 
 
-def strip_identities(
-    a: float, samples: int = 256, tolerance: float = 1e-12
-) -> VerificationReport:
+def strip_identities(a: float) -> VerificationReport:
     """Deck identity, unit-sphere boundary, and boundary transversality.
 
     Checks strip_A(s + pi, -T) = strip_A(s, T) over a grid, |strip_A| = 1 at
@@ -259,9 +257,11 @@ def strip_identities(
     away from zero at the boundary (so the strip meets the sphere
     transversally).  The transversality margin enters the residual as a
     shortfall below 1e-3, which is 0 for every parameter away from sqrt 2.
+    The report passes iff the residual is at most 1e-12.
     """
     family = strip_family(a)
     half = strip_half_width(a)
+    samples = 256
     s = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
     t = np.linspace(-half, half, 33)
     sg, tg = s[:, None], t[None, :]
@@ -282,9 +282,7 @@ def strip_identities(
     shortfall = max(0.0, 1e-3 - radial_rate)
 
     residual = max(deck, boundary, shortfall)
-    return VerificationReport.from_residual(
-        residual, f"strip A={a:g} {samples} samples", tolerance
-    )
+    return VerificationReport.from_residual(residual, f"strip A={a:g} {samples} samples", 1e-12)
 
 
 # Consecutive distance ratios pass within 20% of the quartering 1/4.
@@ -304,20 +302,16 @@ class ConvergenceReport:
     passed: bool
 
 
-def convergence_to_cone(
-    a_values, t_low: float = 0.5, t_high: float = 1.0, samples: int = 64
-) -> ConvergenceReport:
-    """d(A) = sup |strip_A(s, T/A) - cone(s, T)| over an annulus in T.
+def convergence_to_cone(a_values) -> ConvergenceReport:
+    """d(A) = sup |strip_A(s, T/A) - cone(s, T)| over the annulus 0.5 <= T <= 1.
 
-    On |T| >= t_low > 0 the gap is (1/sqrt 2)(sqrt(A^2 + T^2) - |T|), of
-    order A^2, so halving A quarters the distance; the report passes iff the
+    Away from T = 0 the gap is (1/sqrt 2)(sqrt(A^2 + T^2) - |T|), of order
+    A^2, so halving A quarters the distance; the report passes iff the
     consecutive ratios of a descending ``a_values`` lie within 20% of 1/4.
     """
     a_values = tuple(float(a) for a in a_values)
-    if t_low <= 0:
-        raise ValueError("the annulus must avoid T = 0")
-    s = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-    t = np.linspace(t_low, t_high, samples)
+    s = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    t = np.linspace(0.5, 1.0, 64)
     sg, tg = s[:, None], t[None, :]
     cone = cone_family()
     reference = cone.evaluator(sg, tg)
@@ -332,16 +326,15 @@ def convergence_to_cone(
     return ConvergenceReport(a_values, tuple(distances), ratios, passed)
 
 
-def liouville_identity(
-    low: float = -2.0, high: float = 2.0, samples: int = 41, tolerance: float = 1e-12
-) -> VerificationReport:
+def liouville_identity() -> VerificationReport:
     """Pushforward of the plane field t dt + 2u du equals 5X on the umbrella.
 
     X is the radial Liouville field (1/5)(2 q1, 3 p1, 2 q2, 3 p2).  The left
     side uses the exact Jacobian of the umbrella map, the right side
     evaluates X at the mapped point; both are polynomial, so the residual is
-    zero to round-off.
+    zero to round-off, and the report passes iff it is at most 1e-12.
     """
+    low, high, samples = -2.0, 2.0, 41
     line = np.linspace(low, high, samples)
     t, u = line[:, None], line[None, :]
     # exact Jacobian applied to (t, 2u): columns of DF are d/dt and d/du
@@ -361,13 +354,11 @@ def liouville_identity(
     )
     residual = np.max(np.abs(pushed - field))
     return VerificationReport.from_residual(
-        residual, f"umbrella {samples}x{samples} on [{low},{high}]^2", tolerance
+        residual, f"umbrella {samples}x{samples} on [{low},{high}]^2", 1e-12
     )
 
 
-def legendrian_residual(
-    samples: int = 1024, tolerance: float = 1e-6, perturbation: float = 0.0
-) -> VerificationReport:
+def legendrian_residual(tolerance: float = 1e-6, perturbation: float = 0.0) -> VerificationReport:
     """Unit-norm and contact-tangency residuals of the boundary circle.
 
     The pristine curve uses its exact tangent, so both residuals sit at
@@ -376,6 +367,7 @@ def legendrian_residual(
     central differences; the contact residual then rises to the order of the
     perturbation, which is the negative control.
     """
+    samples = 1024
     s = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
     if perturbation == 0.0:
         points = boundary_curve(s)

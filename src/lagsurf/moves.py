@@ -100,6 +100,7 @@ from operator import add, attrgetter
 from typing import Iterable, Optional
 
 from lagsurf.fronts import (
+    STRAND_CHANGE,
     EventKind,
     FrontDiagram,
     FrontError,
@@ -188,15 +189,11 @@ _PATTERNS: dict[tuple[MoveId, MoveDirection], tuple[Window, Window]] = {
     ),
 }
 
-# Strand-count change across an event of each kind.
-_DELTA = {L: 2, X: 0, R: -2}
-
-
 def _strand_counts(events: Word) -> list[int]:
     """Strand count before each event index (length ``len(events) + 1``)."""
     counts = [0]
     for ev in events:
-        counts.append(counts[-1] + _DELTA[ev.kind])
+        counts.append(counts[-1] + STRAND_CHANGE[ev.kind])
     return counts
 
 
@@ -216,7 +213,7 @@ def _fits(window: Window, p: int, n: int) -> bool:
     for kind, offset in window:
         if not 1 <= p + offset <= (n + 1 if kind is L else n - 1):
             return False
-        n += _DELTA[kind]
+        n += STRAND_CHANGE[kind]
     return True
 
 
@@ -251,7 +248,7 @@ def commute_pair(e1: FrontEvent, e2: FrontEvent) -> Optional[tuple[FrontEvent, F
     ``(L p+2, R p) <-> (R p, L p)`` and treat the other form as interacting.
     """
     p, q = e1.pos, e2.pos
-    d2 = _DELTA[e2.kind]
+    d2 = STRAND_CHANGE[e2.kind]
     if e1.kind is L:
         if e2.kind is L:
             if q == p + 1:
@@ -304,7 +301,7 @@ def apply_move_word(events: Word, move: MoveInstance) -> Word:
     before, after = _PATTERNS[move.move_id, move.direction]
     if not (0 <= i <= len(events) - len(before) and _matches(events, i, p, before)):
         raise MoveNotApplicable(f"no {move.move_id} window at {i}:{p}")
-    if not _fits(after, p, sum(_DELTA[ev.kind] for ev in events[:i])):
+    if not _fits(after, p, sum(STRAND_CHANGE[ev.kind] for ev in events[:i])):
         raise MoveNotApplicable(f"no strands for {move.move_id} at {i}:{p}")
     window = tuple(FrontEvent(kind, p + offset) for kind, offset in after)
     return events[:i] + window + events[i + len(before) :]
@@ -524,7 +521,15 @@ class _Placer:
 
 
 def _trace(codes: Coded) -> tuple[Coded, tuple[int, ...], int]:
-    """:func:`_trace_key` and the number of slides it took."""
+    """The least word of the slide class of ``codes``, its events and slides.
+
+    ``order[t]`` is the index in ``codes`` of the event at place ``t`` of
+    the key, and the last item is the number of slides it took.  The key is
+    built one place at a time from the least front code of any event that
+    can come next.  Where events tie on that code, every way of placing them
+    is kept, one state per set of events placed, so ties cost the number of
+    such sets and never a branch per path.
+    """
     placer = _Placer(len(codes))
     states = [((), placer.start(codes))]
     key: list[int] = []
@@ -557,22 +562,9 @@ def _trace(codes: Coded) -> tuple[Coded, tuple[int, ...], int]:
     return tuple(map(_shared, key)), order, placer.slides
 
 
-def _trace_key(codes: Coded) -> tuple[Coded, tuple[int, ...]]:
-    """The least word of the slide class of ``codes`` and its events.
-
-    ``order[t]`` is the index in ``codes`` of the event at place ``t`` of
-    the key.  The key is built one place at a time from the least front
-    code of any event that can come next.  Where events tie on that code,
-    every way of placing them is kept, one state per set of events placed,
-    so ties cost the number of such sets and never a branch per path.
-    """
-    key, order, _ = _trace(codes)
-    return key, order
-
-
 def canonical_word(events: Word) -> Word:
     """Lex-least word in the slide class (the search's memoization key)."""
-    return _decode(_trace_key(_encode(events))[0])
+    return _decode(_trace(_encode(events))[0])
 
 
 def _ideals(codes: Coded) -> dict[int, tuple[Coded, list[tuple[int, int]]]]:
@@ -630,8 +622,8 @@ def _slide_path(start: Coded, goal: Coded) -> list[MoveInstance]:
 
     Events are matched between the two words through their keys.
     """
-    key, order = _trace_key(start)
-    goal_key, goal_order = _trace_key(goal)
+    key, order, _ = _trace(start)
+    goal_key, goal_order, _ = _trace(goal)
     if key != goal_key:
         raise FrontError("words are not slide-equivalent")
     places = [0] * len(start)
@@ -708,7 +700,7 @@ def _expansion(codes: Coded) -> list[tuple[Coded, MoveInstance]]:
         )
     pairs = []
     for mask, (prefix, heads) in ideals.items():
-        head_key = _trace_key(prefix)[0]
+        head_key = _trace(prefix)[0]
         windows = {head_key + rest_keys[mask]}
         for first, first_code in heads:
             one = mask | 1 << first
@@ -720,7 +712,7 @@ def _expansion(codes: Coded) -> list[tuple[Coded, MoveInstance]]:
                 for last, last_code in ideals[two][1]:
                     window = (first_code, middle_code, last_code)
                     windows.add(head_key + window + rest_keys[two | 1 << last])
-        strands = sum(_DELTA[_KINDS[code >> 32]] for code in prefix)
+        strands = sum(STRAND_CHANGE[_KINDS[code >> 32]] for code in prefix)
         for concrete in windows:
             pairs += [(concrete, m) for m in _moves_at(_decode(concrete), len(prefix), strands)]
     return sorted(pairs)
@@ -836,10 +828,7 @@ def equivalent_within(
         for key in frontiers[side]:
             child_keys: dict[Coded, Coded] = {}
             for concrete, move in _expansion(sides[side][key].word):
-                try:
-                    nxt = _encode(apply_move_word(_decode(concrete), move))
-                except MoveNotApplicable:
-                    continue
+                nxt = _encode(apply_move_word(_decode(concrete), move))
                 if nxt not in child_keys:
                     child_keys[nxt] = key_of(nxt)
                 nxt_key = child_keys[nxt]

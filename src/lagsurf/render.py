@@ -3,47 +3,42 @@
 Strands run left to right along horizontal tracks, one column per event.
 Left cusps open rightward, right cusps close leftward (quadratic tips), and
 at a crossing the descending strand is drawn unbroken while the ascending
-strand yields with a visual gap.  All coordinates are emitted with one fixed
-decimal, so identical input and options give byte-identical output.
+strand yields with a visual gap.  The sizes and colours are the module
+constants below, and all coordinates are emitted with one fixed decimal, so
+identical input gives byte-identical output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .fronts import STRAND_CHANGE, EventKind, FrontDiagram
 
-from .fronts import EventKind, FrontDiagram
+L, R = EventKind.LEFT_CUSP, EventKind.RIGHT_CUSP
 
-L, X, R = EventKind.LEFT_CUSP, EventKind.CROSSING, EventKind.RIGHT_CUSP
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    column_width: float = 48.0
-    track_height: float = 28.0
-    margin: float = 20.0
-    stroke_width: float = 2.0
-    crossing_gap: float = 0.18  # fraction of the column yielded by the under-strand
-    stroke: str = "#16324f"
-    background: str = "#ffffff"
+_COLUMN_WIDTH = 48.0
+_TRACK_HEIGHT = 28.0
+_MARGIN = 20.0
+_STROKE_WIDTH = 2.0
+_CROSSING_GAP = 0.18  # fraction of the column yielded by the under-strand
+_STROKE = "#16324f"
+_BACKGROUND = "#ffffff"
 
 
 def _fmt(value: float) -> str:
     return f"{value:.1f}"
 
 
-def render_svg(diagram: FrontDiagram, options: RenderOptions = RenderOptions()) -> str:
-    opt = options
+def render_svg(diagram: FrontDiagram) -> str:
     events = diagram.events
     columns = max(len(events), 1)
     tracks = max(diagram.max_strands, 2)
-    width = 2 * opt.margin + columns * opt.column_width
-    height = 2 * opt.margin + (tracks - 1) * opt.track_height
+    width = 2 * _MARGIN + columns * _COLUMN_WIDTH
+    height = 2 * _MARGIN + (tracks - 1) * _TRACK_HEIGHT
 
     def xat(i: float) -> float:
-        return opt.margin + i * opt.column_width
+        return _MARGIN + i * _COLUMN_WIDTH
 
     def yat(pos: int) -> float:
-        return opt.margin + (pos - 1) * opt.track_height
+        return _MARGIN + (pos - 1) * _TRACK_HEIGHT
 
     def line(x0, y0, x1, y1) -> str:
         return (
@@ -63,32 +58,26 @@ def render_svg(diagram: FrontDiagram, options: RenderOptions = RenderOptions()) 
     strands = 0
     for index, event in enumerate(events):
         x0, x1 = xat(index), xat(index + 1)
-        p = event.pos
+        p, change = event.pos, STRAND_CHANGE[event.kind]
+        # every strand but the event's own runs through, shifted below it
+        own = () if event.kind is L else (p, p + 1)
+        for q in range(1, strands + 1):
+            if q not in own:
+                shapes.append(line(x0, yat(q), x1, yat(q if q < p else q + change)))
         if event.kind is L:
-            for q in range(1, strands + 1):
-                shapes.append(line(x0, yat(q), x1, yat(q if q < p else q + 2)))
-            shapes.append(tip(x1, x0 + 0.2 * opt.column_width, p))
-            strands += 2
+            shapes.append(tip(x1, x0 + 0.2 * _COLUMN_WIDTH, p))
         elif event.kind is R:
-            for q in range(1, strands + 1):
-                if q in (p, p + 1):
-                    continue
-                shapes.append(line(x0, yat(q), x1, yat(q if q < p else q - 2)))
-            shapes.append(tip(x0, x1 - 0.2 * opt.column_width, p))
-            strands -= 2
+            shapes.append(tip(x0, x1 - 0.2 * _COLUMN_WIDTH, p))
         else:
-            for q in range(1, strands + 1):
-                if q in (p, p + 1):
-                    continue
-                shapes.append(line(x0, yat(q), x1, yat(q)))
             # ascending strand (drawn first) yields a gap around the centre
-            half = 0.5 * opt.crossing_gap
+            half = 0.5 * _CROSSING_GAP
             ya, yb = yat(p + 1), yat(p)
-            shapes.append(line(x0, ya, x0 + (0.5 - half) * opt.column_width,
+            shapes.append(line(x0, ya, x0 + (0.5 - half) * _COLUMN_WIDTH,
                                ya + (0.5 - half) * (yb - ya)))
-            shapes.append(line(x0 + (0.5 + half) * opt.column_width,
+            shapes.append(line(x0 + (0.5 + half) * _COLUMN_WIDTH,
                                ya + (0.5 + half) * (yb - ya), x1, yb))
             shapes.append(line(x0, yb, x1, ya))
+        strands += change
 
     body = "\n".join(f"  {shape}" for shape in shapes)
     title = diagram.notation() or "(empty)"
@@ -96,9 +85,9 @@ def render_svg(diagram: FrontDiagram, options: RenderOptions = RenderOptions()) 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
         f"  <title>{title}</title>\n"
-        f'  <rect width="100%" height="100%" fill="{opt.background}"/>\n'
-        f'  <g fill="none" stroke="{opt.stroke}" '
-        f'stroke-width="{_fmt(opt.stroke_width)}" stroke-linecap="round">\n'
+        f'  <rect width="100%" height="100%" fill="{_BACKGROUND}"/>\n'
+        f'  <g fill="none" stroke="{_STROKE}" '
+        f'stroke-width="{_fmt(_STROKE_WIDTH)}" stroke-linecap="round">\n'
         f"{body}\n"
         f"  </g>\n"
         f"</svg>\n"

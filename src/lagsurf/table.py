@@ -20,11 +20,12 @@ one side or the other.
 The closure is computed on integers: each row is the Euler numbers its
 parents offer, in witness order, with each child kept at its first offer
 (``dict.fromkeys``).  The two rules are stated once, in :func:`_offers`,
-which both the row step and the ``links`` view read.  The links, witness
-paths, bundles and edges are built from the rows on first read, and
-:func:`verify_closure` reads the rows alone.  A node's witness path from the
-seed is its lexicographically least (vertical before diagonal); replaying it
-through the surface operations reproduces the node's data exactly.
+which the row step, the edges, the witness fold and :meth:`outgoing` read.
+The witness paths, bundles and edges are built from the rows on first read,
+and :func:`verify_closure` reads the rows alone.  A node's witness path from
+the seed is its lexicographically least (vertical before diagonal);
+replaying it through the surface operations reproduces the node's data
+exactly.
 """
 
 from __future__ import annotations
@@ -83,34 +84,14 @@ class DerivationGraph:
     """The breadth-first closure down to ``min_chi``, kept as integer rows.
 
     Row ``i`` is the level chi = -i, for i = 0 .. -min_chi, and ``eulers[i]``
-    holds its Euler numbers in witness order.  Everything else is a view
-    built on first read:
-
-    * ``links[i]`` (rows above the last only): one ``(source, target, rule)``
-      per edge into row ``i + 1``, in the order the rules were applied, with
-      ``source`` a position in ``eulers[i]`` and ``target`` one in
-      ``eulers[i + 1]``;
-    * ``nodes``, ``edges`` and ``witnesses``, all sharing one
-      :class:`DiskBundle` per node.
-
-    :meth:`fold` walks the witness paths row by row without building them.
-    Build one with :func:`derive_table`.
+    holds its Euler numbers in witness order.  ``nodes``, ``edges`` and
+    ``witnesses`` are built on first read and share one :class:`DiskBundle`
+    per node; :meth:`fold`, :meth:`row` and :meth:`outgoing` read the rows
+    as they are.  Build one with :func:`derive_table`.
     """
 
     min_chi: int
     eulers: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def links(self) -> tuple[tuple[tuple[int, int, Rule], ...], ...]:
-        links = []
-        for i, (row, below) in enumerate(zip(self.eulers, self.eulers[1:])):
-            position = {e: j for j, e in enumerate(below)}
-            links.append(tuple(
-                (j >> 1, position[child], _RULES[j & 1])
-                for j, child in enumerate(_offers(-i, row))
-                if child is not None
-            ))
-        return tuple(links)
 
     def fold(self, seed: T, step: Callable[[T, Rule], T]) -> Iterator[list[T]]:
         """Fold each node's witness path, yielding the values row by row.
@@ -122,11 +103,12 @@ class DerivationGraph:
         """
         values = [seed]
         yield values
-        for row_links in self.links:
+        for i, below in enumerate(self.eulers[1:]):
             parents, values = values, []
-            for source, target, rule in row_links:
-                if target == len(values):
-                    values.append(step(parents[source], rule))
+            for j, child in enumerate(_offers(-i, self.eulers[i])):
+                # the row below lists each child at its first offer, in order
+                if len(values) < len(below) and child == below[len(values)]:
+                    values.append(step(parents[j >> 1], _RULES[j & 1]))
             yield values
 
     @cached_property
@@ -149,30 +131,31 @@ class DerivationGraph:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        bundles = self._bundles
-        return tuple(
-            Edge(bundles[i][source], bundles[i + 1][target], rule)
-            for i, row_links in enumerate(self.links)
-            for source, target, rule in row_links
-        )
-
-    @cached_property
-    def _rows(self) -> dict[int, tuple[int, ...]]:
-        return {-i: tuple(sorted(row)) for i, row in enumerate(self.eulers)}
-
-    @cached_property
-    def _outgoing(self) -> dict[DiskBundle, tuple[Edge, ...]]:
-        out: dict[DiskBundle, list[Edge]] = {}
-        for e in self.edges:
-            out.setdefault(e.source, []).append(e)
-        return {source: tuple(edges) for source, edges in out.items()}
+        """One edge per offer, row by row in the order the rules were applied."""
+        edges: list[Edge] = []
+        for i, (row, below) in enumerate(zip(self._bundles, self._bundles[1:])):
+            target = {bundle.euler: bundle for bundle in below}
+            edges += (
+                Edge(row[j >> 1], target[child], _RULES[j & 1])
+                for j, child in enumerate(_offers(-i, self.eulers[i]))
+                if child is not None
+            )
+        return tuple(edges)
 
     def row(self, chi: int) -> tuple[int, ...]:
         """Euler numbers present at one chi level, ascending."""
-        return self._rows.get(chi, ())
+        return tuple(sorted(self.eulers[-chi])) if self.min_chi <= chi <= 0 else ()
 
     def outgoing(self, node: DiskBundle) -> tuple[Edge, ...]:
-        return self._outgoing.get(node, ())
+        """The edges out of ``node``: none unless it is a node above the last row."""
+        chi = node.chi
+        if node.orientable or not self.min_chi < chi <= 0 or node.euler not in self.eulers[-chi]:
+            return ()
+        return tuple(
+            Edge(node, DiskBundle(chi - 1, child), rule)
+            for child, rule in zip(_offers(chi, (node.euler,)), _RULES)
+            if child is not None
+        )
 
 
 def derive_table(min_chi: int = -5) -> DerivationGraph:
@@ -199,13 +182,11 @@ def derive_table(min_chi: int = -5) -> DerivationGraph:
 class ClosureReport:
     min_chi: int
     node_count: int
-    rows: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 def verify_closure(min_chi: int = -12) -> ClosureReport:
     """Assert the derived closure equals the classifier, row by row."""
     graph = derive_table(min_chi)
-    rows = []
     for chi, row in zip(range(0, min_chi - 1, -1), graph.eulers):
         derived = set(row)
         expected = rationally_convex_set(chi, orientable=False)
@@ -213,8 +194,7 @@ def verify_closure(min_chi: int = -12) -> ClosureReport:
             raise ClosureMismatch(
                 f"chi={chi}: derived {sorted(derived)}, classifier {sorted(expected)}"
             )
-        rows.append((chi, tuple(sorted(expected))))
-    return ClosureReport(min_chi, sum(map(len, graph.eulers)), tuple(rows))
+    return ClosureReport(min_chi, sum(map(len, graph.eulers)))
 
 
 def orientable_catalog(min_chi: int = -4) -> list[SurfaceComplex]:

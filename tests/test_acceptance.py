@@ -223,7 +223,9 @@ def test_criterion_5_table_regeneration():
     )
     ok &= interior_ok
     report = verify_closure(-12)
-    ok &= report.node_count == sum(len(row) for _, row in report.rows)
+    ok &= report.node_count == sum(
+        len(rationally_convex_set(chi, orientable=False)) for chi in range(0, -13, -1)
+    )
     criterion(5, ok, f"{len(nodes)} nodes, corner rules {sorted(r.value for r in rules)}, "
                      f"closure to -12 exact")
 

@@ -203,6 +203,9 @@ def test_surface_script_rejections(capsys, tmp_path, lines):
         ("klein\ncap -1 L1 R1\n", "script line 2: no boundary component -1"),
         ("klein\nmark\n", "script line 2: mark is missing arguments"),
         ("klein\nhandle 1\n", "script line 2: handle is missing arguments"),
+        ("klein junk\nglue3 7\nsmooth 0 99\n", "script line 1: klein has too many arguments"),
+        ("klein\nglue3 7\n", "script line 2: glue3 has too many arguments"),
+        ("klein\nglue3\nsmooth 0 99\n", "script line 3: smooth has too many arguments"),
     ],
 )
 def test_surface_script_index_errors(capsys, tmp_path, lines, message):

@@ -185,11 +185,6 @@ def test_convergence_closed_form_at_unit_t(a):
     assert gap == pytest.approx(expected, abs=1e-12)
 
 
-def test_convergence_rejects_annulus_touching_apex():
-    with pytest.raises(ValueError):
-        convergence_to_cone([0.2, 0.1], t_low=0.0)
-
-
 def test_liouville_identity_exact():
     report = liouville_identity()
     assert report.passed

@@ -25,7 +25,6 @@ from lagsurf.moves import (
     _invariant_key,
     _slide_path,
     _trace,
-    _trace_key,
     align_facing_cusps,
     applicable_moves,
     apply_move,
@@ -346,13 +345,13 @@ def test_slide_closure_matches_reference(events):
 )
 def test_trace_key_matches_reference(events):
     codes = _encode(events)
-    assert _trace_key(codes) == helpers.reference_trace_key(codes)
+    assert _trace(codes)[:2] == helpers.reference_trace_key(codes)
 
 
 @given(helpers.front_words(max_events=12))
 def test_trace_key_matches_reference_on_random_words(events):
     codes = _encode(events)
-    assert _trace_key(codes) == helpers.reference_trace_key(codes)
+    assert _trace(codes)[:2] == helpers.reference_trace_key(codes)
 
 
 def test_key_of_wide_class():
@@ -374,10 +373,7 @@ def test_ideal_expansion_matches_full_expansion(events):
     expected = helpers.reference_child_producers(events)
     found: dict = {}
     for concrete, move in _expansion(_encode(events)):
-        try:
-            child = apply_move_word(_decode(concrete), move)
-        except MoveNotApplicable:
-            continue
+        child = apply_move_word(_decode(concrete), move)
         found.setdefault(canonical_word(child), (_decode(concrete), move))
     assert found == expected
 

@@ -1,11 +1,14 @@
 """SVG rendering: structure and the byte-determinism contract."""
 
+import hashlib
 import pathlib
+import random
 import xml.etree.ElementTree as ET
 
+import helpers
 from lagsurf.dsl import parse_front
 from lagsurf.fronts import FrontDiagram
-from lagsurf.render import RenderOptions, render_svg
+from lagsurf.render import render_svg
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -30,15 +33,23 @@ def test_crossing_breaks_only_the_ascending_strand():
 
 
 def test_canvas_tracks_word_size():
-    opt = RenderOptions(column_width=50.0, track_height=20.0, margin=10.0)
-    svg = render_svg(FrontDiagram.from_word("L1 L2 R2 R1"), opt)
-    assert 'width="220.0"' in svg  # 2*10 + 4*50
-    assert 'height="80.0"' in svg  # 2*10 + (4-1)*20
+    svg = render_svg(FrontDiagram.from_word("L1 L2 R2 R1"))
+    assert 'width="232.0"' in svg  # 2*20 + 4*48
+    assert 'height="124.0"' in svg  # 2*20 + (4-1)*28
 
 
-def test_options_change_the_output():
-    diagram = FrontDiagram.from_word("L1 R1")
-    assert render_svg(diagram) != render_svg(diagram, RenderOptions(stroke="#000000"))
+def test_svg_bytes_are_pinned():
+    # one digest over the corpus and 400 random words: any change to the
+    # drawing rules, sizes, colours or number format changes it
+    digest = hashlib.sha256()
+    for path in sorted(CORPUS.glob("*.front")):
+        digest.update(render_svg(parse_front(path.read_text()).to_diagram()).encode())
+    rng = random.Random(7)
+    for _ in range(400):
+        digest.update(render_svg(FrontDiagram(helpers.random_word(rng))).encode())
+    assert digest.hexdigest() == (
+        "029c6dd544fac483ebd6d539e15af6dbb41c5302dc84dbc32e30a35d3159d26a"
+    )
 
 
 def test_corpus_renders_to_wellformed_svg():

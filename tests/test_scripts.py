@@ -6,8 +6,10 @@ import pathlib
 
 import pytest
 
+import lagsurf.cli
 from lagsurf.dsl import parse_front
 from lagsurf.render import render_svg
+from lagsurf.table import derive_table
 
 ROOT = pathlib.Path(__file__).parent.parent
 
@@ -42,6 +44,22 @@ def test_regenerate_table_reports_a_bad_witness(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: witness for (chi, e) = (0, -4) replays to (0, 99)")
+
+
+def test_regenerate_table_takes_one_surface_step_per_node(capsys, monkeypatch):
+    calls = []
+    for verb, (operation, kinds) in list(lagsurf.cli._SCRIPT_VERBS.items()):
+        def counted(*args, verb=verb, operation=operation):
+            calls.append(verb)
+            return operation(*args)
+
+        monkeypatch.setitem(lagsurf.cli._SCRIPT_VERBS, verb, (counted, kinds))
+    code = load_script("regenerate_table").run(["--min-chi", "-12", "--deep-check", "-1"])
+    capsys.readouterr()
+    assert code == 0
+    # the seed's klein line, then one rule line per other node
+    assert len(calls) == len(derive_table(-12).nodes) == 79
+    assert calls[0] == "klein" and set(calls[1:]) == {"glue3", "smooth"}
 
 
 def test_regenerate_table_deep_check_below_the_floor_is_a_usage_error(capsys):
