@@ -208,8 +208,9 @@ def pullback_residual(
     against the row of second ones, of about ``_TILE_ELEMENTS`` points.
     Every block is written into arrays allocated once per call: the
     quotients ``u`` along the first axis and ``v`` along the second, each a
-    complex pair, the pair ``w`` that the charts at the minus points fill,
-    and two float arrays for omega and its terms.  omega is
+    complex pair, and the pair ``w`` that the charts at the minus points
+    fill.  Once both quotients are taken ``w`` is spent, and omega and its
+    terms are written into float views of its first half.  omega is
     :func:`symplectic_pairing` of the quotients, term for term and in its
     order, so the residual keeps the bits of the packed sweep.
     """
@@ -223,7 +224,6 @@ def pullback_residual(
     tile = max(1, _TILE_ELEMENTS // max(len(second), 1))
     block = (min(tile, len(first)), len(second))
     pairs = np.empty((3, 2, *block), complex)
-    omega, term = np.empty((2, *block))
     row, width = second[None, :], 2 * step
     maxima = []
     with np.errstate(all="ignore"):
@@ -236,7 +236,8 @@ def pullback_residual(
             v1, v2 = _difference_quotient(
                 family.chart, (column, row + step), (column, row - step), width, v, w
             )
-            pairing, scratch = omega[: len(column)], term[: len(column)]
+            # the spent w[0] holds two floats per point: omega and a term
+            pairing, scratch = w[0].view(float).reshape(2, *w[0].shape)
             np.multiply(u1.real, v1.imag, out=pairing)
             pairing -= np.multiply(u1.imag, v1.real, out=scratch)
             pairing += np.multiply(u2.real, v2.imag, out=scratch)

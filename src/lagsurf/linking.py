@@ -49,7 +49,7 @@ _VIEW_SEEDS = (0.0, 0.37, 0.71, 1.13, 1.62, 2.31)
 
 # Elements per tile of the Gauss sum, and candidate pairs per chunk of a join.
 _TILE_ELEMENTS = 1 << 15
-_CHUNK = 1 << 12
+_CHUNK = 1 << 10
 
 
 def _samples(*curves: np.ndarray) -> None:
@@ -267,8 +267,8 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     Each full-width array is built once: the segment vectors ``da`` and
     ``db`` and the (x, y) box corners, padded in place, 7 floats per sample
     of each loop; the rolled loops are dropped as soon as these are built.
-    One chunk of candidate pairs comes on top.  A view of two 4096-sample
-    loops peaks near 1.1 MiB besides its inputs.
+    One chunk of at most ``_CHUNK`` candidate pairs comes on top.  A view of
+    two 4096-sample loops peaks near 0.8 MiB besides its inputs.
     """
     pa, qa = a3, np.roll(a3, -1, axis=0)
     pb, qb = b3, np.roll(b3, -1, axis=0)
@@ -323,8 +323,11 @@ def linking_number(first: np.ndarray, second: np.ndarray) -> int:
     """Combinatorial linking number of two disjoint sphere loops."""
     _samples(first, second)
     pole = _choose_pole((first, second))
-    a3 = stereographic(first, pole)
-    b3 = stereographic(second, pole)
+    return _view_linking(stereographic(first, pole), stereographic(second, pole))
+
+
+def _view_linking(a3: np.ndarray, b3: np.ndarray) -> int:
+    """Half the crossing sum of the first rotated view that resolves cleanly."""
     last_error: Exception | None = None
     for angle in _VIEW_SEEDS:
         view = _view_rotation(angle)
@@ -405,11 +408,20 @@ def contact_framing(curve: np.ndarray, epsilon: float = 1e-2) -> int:
     """Link a closed Legendrian with its Reeb push-off (its framing number).
 
     The push-off e^{i epsilon} never meets the curve, so any positive epsilon
-    works; halving it must not change the answer, which tests exploit.
+    works; halving it must not change the answer, which tests exploit.  This
+    is :func:`linking_number` of the curve and its push-off, except that the
+    push-off is dropped once it is projected, so the planar views run
+    without it.
     """
     _samples(curve)
     _require_embedded(curve)
-    return linking_number(curve, reeb_pushoff(curve, epsilon))
+    pushoff = reeb_pushoff(curve, epsilon)
+    # the flow of samples near the float limit can overflow
+    _samples(pushoff)
+    pole = _choose_pole((curve, pushoff))
+    a3, b3 = stereographic(curve, pole), stereographic(pushoff, pole)
+    del pushoff
+    return _view_linking(a3, b3)
 
 
 def tangent_winding(curve: np.ndarray) -> int:

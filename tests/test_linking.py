@@ -31,6 +31,7 @@ from lagsurf.linking import (
     _overlapping_boxes,
     _planar_crossings,
     _require_embedded,
+    _samples,
     _view_rotation,
     contact_framing,
     gauss_linking,
@@ -128,9 +129,13 @@ def test_oracles_agree_with_diagram_formulas():
         assert tangent_winding(curve) == front.rotation_number()
 
 
-def test_doubly_covered_circle_is_rejected():
+def doubled_circle():
     doubled = np.linspace(0.0, 4 * math.pi, N, endpoint=False)
-    curve = pack(np.cos(doubled) + 0j, np.sin(doubled) + 0j)
+    return pack(np.cos(doubled) + 0j, np.sin(doubled) + 0j)
+
+
+def test_doubly_covered_circle_is_rejected():
+    curve = doubled_circle()
     with pytest.raises(SelfIntersectingSamples):
         contact_framing(curve)
     with pytest.raises(SelfIntersectingSamples):
@@ -276,6 +281,67 @@ def sample_pairs(n):
 @pytest.mark.parametrize("name", ["boundary", "flat", "hopf"])
 def test_kernels_agree_with_dense_references(n, name):
     assert_kernels_agree(*sample_pairs(n)[name])
+
+
+def chunked_outcomes(first, second):
+    """Every view's crossing sum, embeddedness, linking and framing, in order."""
+    pole = _choose_pole((first, second))
+    a3, b3 = stereographic(first, pole), stereographic(second, pole)
+    views = [_view_rotation(angle) for angle in _VIEW_SEEDS]
+    return (
+        [outcome(_planar_crossings, a3 @ view.T, b3 @ view.T) for view in views],
+        [outcome(_require_embedded, curve) for curve in (first, second)],
+        outcome(linking_number, first, second),
+        outcome(contact_framing, first),
+    )
+
+
+@pytest.mark.parametrize("chunk, n", [(1, 256), (7, 1024), (4096, 1024)])
+@pytest.mark.parametrize("name", ["boundary", "flat", "hopf"])
+def test_join_chunk_changes_no_outcome(monkeypatch, chunk, n, name):
+    first, second = sample_pairs(n)[name]
+    expected = chunked_outcomes(first, second)
+    monkeypatch.setattr("lagsurf.linking._CHUNK", chunk)
+    assert chunked_outcomes(first, second) == expected
+
+
+def framing_by_linking(curve, epsilon=1e-2):
+    """The framing oracle as linking_number with the push-off, after its checks."""
+    _samples(curve)
+    _require_embedded(curve)
+    return linking_number(curve, reeb_pushoff(curve, epsilon))
+
+
+def route_outcome(oracle, curve):
+    """The oracle's value, or the type of the exception it raised."""
+    try:
+        return oracle(curve)
+    except (DegenerateProjection, SelfIntersectingSamples, InvalidSamples) as err:
+        return type(err)
+
+
+FRAMING_INPUTS = {
+    "boundary": lambda: boundary_curve(S),
+    "flat": flat_circle,
+    "boundary_float16": lambda: boundary_curve(S).astype(np.float16),
+    "stalled": lambda: with_rows(flat_circle(), 10, flat_circle()[8]),
+    "doubled": doubled_circle,
+    "too_few": lambda: flat_circle()[:4],
+    # finite samples whose push-off overflows
+    "near_the_float_limit": lambda: boundary_curve(S) * 1e300 + [1.78e308, 1.78e308, 0.0, 0.0],
+    **INVALID_SAMPLES,
+}
+
+
+@pytest.mark.parametrize("name", FRAMING_INPUTS)
+def test_framing_is_linking_with_the_pushoff(name):
+    curve = FRAMING_INPUTS[name]()
+    with np.errstate(over="ignore"):
+        assert route_outcome(contact_framing, curve) == route_outcome(framing_by_linking, curve)
+    if name in ("boundary", "flat"):
+        assert outcome(contact_framing, curve) == outcome(
+            linking_number, curve, reeb_pushoff(curve, 1e-2)
+        )
 
 
 def test_pole_matches_the_stacked_scan_on_random_curves():
@@ -452,23 +518,25 @@ def peak_mib(call, *args):
 
 def test_oracles_run_in_bounded_memory():
     pairs = sample_pairs(4096)
-    # each full-width array of a planar view held once; peaks 1.49 and 1.13 MiB
-    assert peak_mib(contact_framing, pairs["boundary"][0]) < 1.7
+    # each full-width array of a planar view held once, the push-off dropped
+    # once projected, and joins in chunks of 2**10 pairs; peaks 1.17 and 1.13 MiB
+    assert peak_mib(contact_framing, pairs["boundary"][0]) < 1.3
     assert peak_mib(linking_number, *pairs["hopf"]) < 1.3
     # two reused tiles of 2**15 floats, 0.5 MiB, the (N, 6) factors, and the
     # midpoints of the rows and columns; peaks 1.07 and 0.70 MiB
     assert peak_mib(gauss_linking, *pairs["boundary"]) < 1.25
     assert peak_mib(gauss_linking, *sample_pairs(512)["boundary"]) < 0.8
-    # six complex and two float blocks of 2**13 points, 0.88 MiB; peaks 1.17 MiB
+    # six complex blocks of 2**13 points, 0.75 MiB, with omega and its terms in
+    # the spent minus-point block; peaks 1.04 MiB
     grid = (cone_family(), np.linspace(0.0, math.pi, 1024), np.linspace(0.1, 1.0, 1024))
-    assert peak_mib(pullback_residual, *grid) < 1.35
+    assert peak_mib(pullback_residual, *grid) < 1.15
 
 
 def test_embeddedness_check_runs_in_bounded_memory():
     curve = boundary_curve(np.linspace(0.0, 2 * math.pi, 100_000, endpoint=False))
     assert peak_mib(_require_embedded, curve) < 32
-    # the N = 10**5 target of the framing oracle; peaks 29.3 MiB
-    assert peak_mib(contact_framing, curve) < 34
+    # the N = 10**5 target of the framing oracle; peaks 26.05 MiB
+    assert peak_mib(contact_framing, curve) < 29
 
 
 def test_overlapping_boxes_match_a_scan():
