@@ -11,38 +11,30 @@ so derivation witnesses double as runnable scripts.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
-from dataclasses import asdict
 from functools import cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .classify import massey_set, rationally_convex_set, stein_set
-from .dsl import parse_front
-from .fronts import EventKind, FrontDiagram, FrontError, word
-from .moves import MoveDirection, MoveId, MoveInstance, apply_move, applicable_moves, equivalent_within
-from .render import render_svg
-from .surfaces import (
-    SurfaceComplex,
-    SurfaceError,
-    cone_cap,
-    euler_number,
-    genus_chain,
-    glue_mobius_three_umbrellas,
-    klein_base,
-    mark_umbrella,
-    mobius_smoothing,
-    one_handle,
-    piece,
-    split_cone,
-)
-from .table import ClosureMismatch, Rule, derive_table, verify_closure
+if TYPE_CHECKING:
+    from .fronts import FrontDiagram
+    from .moves import MoveInstance
+    from .surfaces import SurfaceComplex
+    from .table import Rule
 
-# ``verify`` adds linking.DegenerateProjection; importing it here would load
-# numpy for every verb.
-_DOMAIN_ERRORS = (FrontError, SurfaceError, ClosureMismatch, ValueError, OSError)
+# Each verb imports only the layers it runs, when it runs.  So ``main`` looks
+# up a layer's domain errors only if the layer was loaded: a layer that was
+# never loaded cannot have raised.
+def _domain_errors() -> tuple[type[Exception], ...]:
+    errors = [ValueError, OSError]
+    for module, name in (
+        ("lagsurf.fronts", "FrontError"),
+        ("lagsurf.surfaces", "SurfaceError"),
+        ("lagsurf.table", "ClosureMismatch"),
+    ):
+        if module in sys.modules:
+            errors.append(getattr(sys.modules[module], name))
+    return tuple(errors)
 
 
 def _read_text(path: str) -> str:
@@ -53,10 +45,14 @@ def _read_text(path: str) -> str:
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _load_diagram(path: str) -> tuple[str, FrontDiagram]:
+    from .dsl import parse_front
+
     doc = parse_front(_read_text(path))
     return doc.name, doc.to_diagram()
 
@@ -65,6 +61,8 @@ def _load_diagram(path: str) -> tuple[str, FrontDiagram]:
 
 
 def _front_stats(args) -> int:
+    from .fronts import EventKind
+
     name, diagram = _load_diagram(args.file)
     # every event that is not a crossing is a cusp
     crossings = sum(event.kind is EventKind.CROSSING for event in diagram.events)
@@ -85,6 +83,8 @@ def _front_stats(args) -> int:
 
 
 def _front_render(args) -> int:
+    from .render import render_svg
+
     _, diagram = _load_diagram(args.file)
     svg = render_svg(diagram)
     if args.out:
@@ -105,6 +105,8 @@ def _front_check(args) -> int:
 
 
 def _parse_move(text: str) -> MoveInstance:
+    from .moves import MoveDirection, MoveId, MoveInstance
+
     try:
         head, tail = text.split("@", 1)
         index, pos, direction = tail.split(":")
@@ -117,6 +119,8 @@ def _parse_move(text: str) -> MoveInstance:
 
 
 def _moves_list(args) -> int:
+    from .moves import applicable_moves
+
     _, diagram = _load_diagram(args.file)
     for move in applicable_moves(diagram):
         print(move)
@@ -124,6 +128,8 @@ def _moves_list(args) -> int:
 
 
 def _moves_apply(args) -> int:
+    from .moves import apply_move
+
     _, diagram = _load_diagram(args.file)
     for spec in args.move:
         diagram = apply_move(diagram, _parse_move(spec))
@@ -132,6 +138,8 @@ def _moves_apply(args) -> int:
 
 
 def _moves_equiv(args) -> int:
+    from .moves import equivalent_within
+
     _, first = _load_diagram(args.first)
     _, second = _load_diagram(args.second)
     witness = equivalent_within(first, second, args.depth)
@@ -158,33 +166,63 @@ def _script_arg(kind, token: str, lineno: int):
         raise ValueError(f"script line {lineno}: expected an integer, got {token!r}")
 
 
-# Each script verb's operation and the types of its arguments.  A starter's
-# operation makes the surface; every other one takes the surface first.
 _STARTERS = ("klein", "genus", "piece")
-_SCRIPT_VERBS = {
-    "klein": (klein_base, ()),
-    "genus": (genus_chain, (int,)),
-    "piece": (piece, (str,)),
-    "split": (split_cone, (int,)),
-    "smooth": (mobius_smoothing, (int,)),
-    "glue3": (glue_mobius_three_umbrellas, ()),
-    "mark": (mark_umbrella, (int,)),
-    "cap": (cone_cap, (int, lambda text: FrontDiagram(word(text)))),
-    "handle": (one_handle, (int, int)),
-}
+
+
+@cache
+def _script_verbs() -> dict:
+    """Each script verb's operation and the types of its arguments.
+
+    A starter's operation makes the surface; every other one takes the
+    surface first.  The one dict of this process, read as ``_SCRIPT_VERBS``.
+    """
+    from .fronts import FrontDiagram, word
+    from .surfaces import (
+        cone_cap,
+        genus_chain,
+        glue_mobius_three_umbrellas,
+        klein_base,
+        mark_umbrella,
+        mobius_smoothing,
+        one_handle,
+        piece,
+        split_cone,
+    )
+
+    return {
+        "klein": (klein_base, ()),
+        "genus": (genus_chain, (int,)),
+        "piece": (piece, (str,)),
+        "split": (split_cone, (int,)),
+        "smooth": (mobius_smoothing, (int,)),
+        "glue3": (glue_mobius_three_umbrellas, ()),
+        "mark": (mark_umbrella, (int,)),
+        "cap": (cone_cap, (int, lambda text: FrontDiagram(word(text)))),
+        "handle": (one_handle, (int, int)),
+    }
+
+
+def __getattr__(name: str):
+    if name == "_SCRIPT_VERBS":
+        return _script_verbs()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _script_line(surface: SurfaceComplex | None, tokens: list[str], lineno: int):
     """The surface after one script line, given as its tokens, verb first."""
+    from .fronts import FrontError
+    from .surfaces import SurfaceError
+
+    verbs = _script_verbs()
     verb = tokens[0]
     if verb in _STARTERS:
         if surface is not None:
             raise ValueError("a script has exactly one starter line")
     elif surface is None:
         raise ValueError("script must start with klein, genus, or piece")
-    elif verb not in _SCRIPT_VERBS:
+    elif verb not in verbs:
         raise ValueError(f"unknown verb {verb!r}")
-    operation, kinds = _SCRIPT_VERBS[verb]
+    operation, kinds = verbs[verb]
     if verb == "cap" and len(tokens) > 1:
         # the model word is the rest of the line, possibly empty
         tokens = [*tokens[:2], " ".join(tokens[2:])]
@@ -212,6 +250,8 @@ def run_surface_script(text: str) -> SurfaceComplex:
 
 
 def _surface_payload(surface: SurfaceComplex) -> dict:
+    from .surfaces import euler_number
+
     return {
         "schema": 1,
         "chi": surface.chi,
@@ -232,6 +272,8 @@ def _surface_build(args) -> int:
 
 
 def _surface_euler(args) -> int:
+    from .surfaces import euler_number
+
     print(euler_number(run_surface_script(_read_text(args.script))))
     return 0
 
@@ -239,8 +281,9 @@ def _surface_euler(args) -> int:
 # -- classify / table ------------------------------------------------------
 
 
-# The surface-script line of each derivation rule.
-_RULE_LINES = {Rule.VERTICAL: "glue3", Rule.DIAGONAL: "smooth 0"}
+# The surface-script line of each derivation rule, keyed by the rule's
+# string; a ``table.Rule`` is a str, so it finds its line.
+_RULE_LINES = {"vertical": "glue3", "diagonal": "smooth 0"}
 
 
 def witness_script(path: Sequence[Rule]) -> list[str]:
@@ -249,6 +292,8 @@ def witness_script(path: Sequence[Rule]) -> list[str]:
 
 
 def _classify(args) -> int:
+    from .classify import massey_set, rationally_convex_set, stein_set
+
     chi, e, orientable = args.chi, args.euler, args.orientable
     rc = e in rationally_convex_set(chi, orientable)
     st = e in stein_set(chi, orientable)
@@ -281,6 +326,8 @@ def _write_table_json(graph) -> None:
     witness is then written as its fixed indented block, rows in order of
     decreasing chi and each row by increasing Euler number.
     """
+    import json
+
     rows = [
         {"chi": chi, "euler": list(graph.row(chi))}
         for chi in range(0, graph.min_chi - 1, -1)
@@ -318,6 +365,8 @@ def _table(args) -> int:
         args.usage_error(
             f"--format json needs --min-chi at least {_TABLE_JSON_MIN_CHI}, got {args.min_chi}"
         )
+    from .table import derive_table
+
     graph = derive_table(args.min_chi)
     if args.format == "json":
         _write_table_json(graph)
@@ -329,6 +378,8 @@ def _table(args) -> int:
 
 
 def _table_check(args) -> int:
+    from .table import verify_closure
+
     report = verify_closure(args.min_chi)
     print(f"closure verified to chi {report.min_chi}: {report.node_count} nodes")
     return 0
@@ -352,11 +403,15 @@ _VERIFY_READS = {
 
 
 def _report_dict(check: str, report) -> dict:
+    from dataclasses import asdict
+
     return {"check": check, **asdict(report)}
 
 
 def _write_csv(path: str, params: Sequence[str], rows) -> None:
     """One line per sample: its parameters, then its point in 4-space."""
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow([*params, "q1", "p1", "q2", "p2"])
@@ -563,7 +618,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _DOMAIN_ERRORS as err:
+    except _domain_errors() as err:
         return _domain_error(err)
 
 

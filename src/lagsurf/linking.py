@@ -2,8 +2,9 @@
 
 Curves live on the unit sphere in (q1, p1, q2, p2)-space and are passed
 around as (N, 4) sample arrays, closed implicitly (sample N wraps to 0).
-Each public oracle checks its samples once, on entry, without a copy: N >= 1
-and every entry finite, else InvalidSamples.  The kernels take that as given.
+Each public oracle checks its samples once, on entry, without a copy: N >= 1,
+every entry finite, and no squared distance of two samples of a curve beyond
+the float range, else InvalidSamples.  The kernels take that as given.
 Linking numbers are computed combinatorially: stereographic projection to
 3-space away from both curves, then a generic planar projection with signed
 crossings.  A Gauss-integral route over the same 3-space images is provided
@@ -53,12 +54,22 @@ _CHUNK = 1 << 10
 
 
 def _samples(*curves: np.ndarray) -> None:
-    """Raise InvalidSamples unless every curve is (N, 4), N >= 1, and finite."""
+    """Raise InvalidSamples unless every curve is (N, 4), N >= 1, and finite,
+    and no squared distance of two of its samples can overflow.
+
+    The kernels take norms of differences of samples as square roots of sums
+    of squares; each such sum is at most 4 (max - min)^2 over the curve's
+    entries, which must be finite.
+    """
     for curve in curves:
         if np.ndim(curve) != 2 or np.shape(curve)[1] != 4 or len(curve) < 1:
             raise InvalidSamples(f"samples must be (N, 4) with N >= 1, not {np.shape(curve)}")
-        if not np.isfinite(curve).all():
+        low, high = float(np.min(curve)), float(np.max(curve))
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise InvalidSamples("samples must be finite")
+        spread = high - low
+        if not math.isfinite(4.0 * spread * spread):
+            raise InvalidSamples("samples so far apart that their squared distances overflow")
 
 
 def _require_embedded(curve: np.ndarray) -> None:

@@ -506,31 +506,40 @@ def test_verify_maps_a_degenerate_projection_to_an_error_line(capsys, monkeypatc
     assert err == "error: all views degenerate\n"
 
 
-NUMPY_FREE_VERBS = [
-    ["classify", "--chi", "-3", "--euler", "-10"],
-    ["front", "stats", corpus_file("three-sum-core")],
-    ["moves", "equiv", corpus_file("unknot"), corpus_file("unknot-reversed")],
-]
-
-
-def test_numpy_free_verbs_do_not_import_numpy(capsys):
+def cold_layers(capsys, *argv) -> set[str]:
+    """The lagsurf layers, and numpy, loaded by ``main(argv)`` in a fresh
+    interpreter, whose exit code and output must match an in-process run."""
     script = (
         "import contextlib, io, json, sys\n"
         "import lagsurf.cli\n"
-        "loaded = 'numpy' in sys.modules\n"
-        "outputs = []\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    buffer = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(buffer):\n"
-        "        code = lagsurf.cli.main(argv)\n"
-        "    outputs.append([code, buffer.getvalue()])\n"
-        "print(json.dumps([loaded, 'numpy' in sys.modules, outputs]))\n"
+        "buffer = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buffer):\n"
+        "    code = lagsurf.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, buffer.getvalue(), sorted(sys.modules)]))\n"
     )
     src = str(pathlib.Path(lagsurf.cli.__file__).parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(NUMPY_FREE_VERBS)],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
-    loaded_on_import, loaded_after, outputs = json.loads(done.stdout)
-    assert not loaded_on_import and not loaded_after
-    assert outputs == [list(run(capsys, *argv)[:2]) for argv in NUMPY_FREE_VERBS]
+    code, out, modules = json.loads(done.stdout)
+    assert [code, out] == list(run(capsys, *argv)[:2])
+    return {
+        name.removeprefix("lagsurf.")
+        for name in modules
+        if name.startswith("lagsurf.") or name == "numpy"
+    }
+
+
+def test_cold_verbs_load_only_their_layers(capsys):
+    # the cold starts of the benchmark, each in its own interpreter
+    loaded = cold_layers(capsys, "classify", "--chi", "-3", "--euler", "-10")
+    assert not loaded & {"fronts", "dsl", "moves", "surfaces", "table", "numpy"}
+    loaded = cold_layers(capsys, "front", "stats", corpus_file("three-sum-core"))
+    assert not loaded & {"moves", "surfaces", "table", "numpy"}
+    loaded = cold_layers(
+        capsys, "moves", "equiv", corpus_file("kink-down"), corpus_file("nested-down")
+    )
+    assert not loaded & {"surfaces", "table", "numpy"}
+    loaded = cold_layers(capsys, "verify", "curve")
+    assert not loaded & {"moves", "surfaces", "table"}

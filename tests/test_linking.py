@@ -180,6 +180,10 @@ INVALID_SAMPLES = {
     "three_columns": lambda: boundary_curve(S)[:, :3],
     "empty": lambda: np.empty((0, 4)),
     "one_dimension": lambda: boundary_curve(S)[0],
+    # finite samples whose differences overflow, and ones whose squared
+    # distances do
+    "differences_overflow": lambda: boundary_curve(S[::8]) * 1.5e308,
+    "squares_overflow": lambda: boundary_curve(S) * 1e200,
 }
 
 
@@ -194,9 +198,12 @@ def test_oracles_reject_invalid_samples(name):
         (gauss_linking, bad, good),
         (gauss_linking, good, bad),
     ]
-    for oracle, *curves in calls:
-        with pytest.raises(InvalidSamples):
-            oracle(*curves)
+    with warnings.catch_warnings():
+        # rejected on entry, before numpy computes anything that could warn
+        warnings.simplefilter("error")
+        for oracle, *curves in calls:
+            with pytest.raises(InvalidSamples):
+                oracle(*curves)
 
 
 def test_oracles_take_other_real_dtypes():
