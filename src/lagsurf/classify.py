@@ -6,8 +6,8 @@ values realized by smooth embeddings in complex 2-space, the values realized
 by Stein-domain embeddings, and the values realized by rationally convex
 embeddings.  The last differs from the Stein set by exactly two excluded
 one-sided pairs, ``(chi, e) = (1, -2)`` and ``(0, 0)``.  A fourth set
-translates Euler numbers into allowed counts of basic cone points via
-``k = -chi - e``.
+translates Euler numbers into allowed counts of basic cone points,
+:func:`umbrella_count`, ``k = -chi - e``.
 
 All four are arithmetic progressions of step 4 before exclusions.  Invalid
 ``(chi, orientable)`` pairs are rejected with :class:`InvalidSurface` rather
@@ -77,14 +77,20 @@ def rationally_convex_set(chi: int, orientable: bool = False) -> set[int]:
     return values
 
 
-def umbrella_set(chi: int, orientable: bool = False) -> set[int]:
-    """Allowed counts of basic cone points, k = -chi - e.
+def umbrella_count(chi: int, e: int) -> int:
+    """The count of basic cone points, k = -chi - e, of the bundle (chi, e).
 
-    Exactly the image of :func:`rationally_convex_set` under the count
-    translation: each basic cone point contributes -1 to e on a surface
-    whose smooth part contributes -chi.
+    Each basic cone point contributes -1 to e on a surface whose smooth part
+    contributes -chi.
     """
-    return {-chi - e for e in rationally_convex_set(chi, orientable)}
+    return -chi - e
+
+
+def umbrella_set(chi: int, orientable: bool = False) -> set[int]:
+    """Allowed counts of basic cone points: the image of
+    :func:`rationally_convex_set` under :func:`umbrella_count`.
+    """
+    return {umbrella_count(chi, e) for e in rationally_convex_set(chi, orientable)}
 
 
 def lai_relative(

@@ -292,13 +292,13 @@ def witness_script(path: Sequence[Rule]) -> list[str]:
 
 
 def _classify(args) -> int:
-    from .classify import massey_set, rationally_convex_set, stein_set
+    from .classify import massey_set, rationally_convex_set, stein_set, umbrella_count
 
     chi, e, orientable = args.chi, args.euler, args.orientable
     rc = e in rationally_convex_set(chi, orientable)
     st = e in stein_set(chi, orientable)
     ms = e in massey_set(chi, orientable)
-    umbrella_points = -chi - e if rc else None
+    umbrella_points = umbrella_count(chi, e) if rc else None
     if args.format == "json":
         _emit_json(
             {

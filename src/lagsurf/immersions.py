@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .linking import _tile_loop
 
 # Grid points per block of a residual sweep.
 _TILE_ELEMENTS = 1 << 13
@@ -212,7 +213,10 @@ def pullback_residual(
     fill.  Once both quotients are taken ``w`` is spent, and omega and its
     terms are written into float views of its first half.  omega is
     :func:`symplectic_pairing` of the quotients, term for term and in its
-    order, so the residual keeps the bits of the packed sweep.
+    order, so the residual keeps the bits of the packed sweep.  The sweep
+    runs with numpy's ufunc buffer no longer than one row of the grid
+    (:func:`lagsurf.linking._tile_loop`), so numpy does not copy the
+    broadcast column and row of a block into its buffer.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -226,7 +230,7 @@ def pullback_residual(
     pairs = np.empty((3, 2, *block), complex)
     row, width = second[None, :], 2 * step
     maxima = []
-    with np.errstate(all="ignore"):
+    with _tile_loop(len(second)):
         for start in range(0, len(first), tile):
             column = first[start : start + tile, None]
             u, v, w = pairs[:, :, : len(column)]

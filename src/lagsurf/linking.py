@@ -24,6 +24,7 @@ its winding number.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -51,6 +52,28 @@ _VIEW_SEEDS = (0.0, 0.37, 0.71, 1.13, 1.62, 2.31)
 # Elements per tile of the Gauss sum, and candidate pairs per chunk of a join.
 _TILE_ELEMENTS = 1 << 15
 _CHUNK = 1 << 10
+
+# numpy's default ufunc buffer, in elements.
+_BUFSIZE = 8192
+
+
+@contextlib.contextmanager
+def _tile_loop(row: int):
+    """Run a tile loop over rows of ``row`` elements: warnings off, one-row buffer.
+
+    numpy copies the broadcast operands of a ufunc into its buffer when the
+    rows are much shorter than the buffer, which makes short-row tiles
+    several times slower.  The buffer is set to the largest power of two
+    <= ``row``, at least 16 (a multiple of 16, as numpy needs) and at most
+    numpy's default; the caller's buffer size and error state come back on
+    exit, also when the loop raises.
+    """
+    old = np.setbufsize(min(_BUFSIZE, 1 << max(4, row.bit_length() - 1)))
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        np.setbufsize(old)
 
 
 def _samples(*curves: np.ndarray) -> None:
@@ -275,19 +298,14 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     A pair is parallel when its |denom| is under 1e-12 of ``scale``, the
     bound of :func:`_crossing_bound` on every pair's |denom|.
 
-    Each full-width array is built once: the segment vectors ``da`` and
-    ``db`` and the (x, y) box corners, padded in place, 7 floats per sample
-    of each loop; the rolled loops are dropped as soon as these are built.
-    One chunk of at most ``_CHUNK`` candidate pairs comes on top.  A view of
-    two 4096-sample loops peaks near 0.8 MiB besides its inputs.
+    Each full-width array is built once, by :func:`_segments`: the segment
+    vectors ``da`` and ``db`` and the (x, y) box corners, padded in place,
+    7 floats per sample of each loop.  One chunk of at most ``_CHUNK``
+    candidate pairs comes on top.  A view of two 4096-sample loops peaks
+    near 0.8 MiB besides its inputs.
     """
-    pa, qa = a3, np.roll(a3, -1, axis=0)
-    pb, qb = b3, np.roll(b3, -1, axis=0)
-    da, db = qa - pa, qb - pb
-    lo_a, hi_a = np.minimum(pa[:, :2], qa[:, :2]), np.maximum(pa[:, :2], qa[:, :2])
-    lo_b, hi_b = np.minimum(pb[:, :2], qb[:, :2]), np.maximum(pb[:, :2], qb[:, :2])
-    del qa, qb
-
+    da, lo_a, hi_a = _segments(a3)
+    db, lo_b, hi_b = _segments(b3)
     scale = _crossing_bound(da, db) + 1e-30
 
     pad = 1e-6 * max(_widest(lo_a, hi_a), _widest(lo_b, hi_b))
@@ -297,7 +315,7 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     hits: list[tuple[np.ndarray, ...]] = []
     for ia, ib in _overlapping_boxes(lo_a, hi_a, lo_b, hi_b):
         denom = da[ia, 0] * db[ib, 1] - da[ia, 1] * db[ib, 0]
-        offset = pb[ib, :2] - pa[ia, :2]
+        offset = b3[ib, :2] - a3[ia, :2]
         cross_a = offset[:, 0] * db[ib, 1] - offset[:, 1] * db[ib, 0]
         cross_b = offset[:, 0] * da[ia, 1] - offset[:, 1] * da[ia, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -328,6 +346,26 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     # det(over, under): when b is over, swap the pair, flipping the sign
     signs = np.where(over_a, sign_turn, -sign_turn)
     return int(np.sum(signs))
+
+
+def _segments(loop: np.ndarray):
+    """Segment vectors and (x, y) box corners ``lo``, ``hi`` of a closed loop.
+
+    Row i is the segment from sample i to sample i + 1, the last one wrapping
+    to sample 0.  Each is taken by slice differences, and the corners column
+    by column, so neither a rolled copy of the loop nor a buffered copy of
+    its strided (x, y) columns is made.
+    """
+    d = np.empty_like(loop)
+    np.subtract(loop[1:], loop[:-1], out=d[:-1])
+    np.subtract(loop[:1], loop[-1:], out=d[-1:])
+    lo, hi = np.empty((2, len(loop), 2))
+    for k in (0, 1):
+        column = loop[:, k]
+        for corner, extreme in ((lo, np.minimum), (hi, np.maximum)):
+            extreme(column[:-1], column[1:], out=corner[:-1, k])
+            extreme(column[-1:], column[:1], out=corner[-1:, k])
+    return d, lo, hi
 
 
 def linking_number(first: np.ndarray, second: np.ndarray) -> int:
@@ -370,10 +408,12 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     componentwise, as exact differences.  The working set is two tiles of
     about ``_TILE_ELEMENTS`` floats, allocated once per call: a tile's
     ``|sep|^3`` is built in one, and its separations and then its triple
-    products in the other.  Besides the tiles, only the row midpoints ``ma``
-    and the three factors ``left``, ``right`` and ``columns`` stay bound
-    during the loop.  Raises SelfIntersectingSamples when two midpoints
-    coincide or the sum is not finite.
+    products in the other.  Besides the tiles, only the row midpoints ``ma``,
+    kept as a contiguous (3, N) transpose, and the three factors ``left``,
+    ``right`` and ``columns`` stay bound during the loop, which runs in
+    :func:`_tile_loop` with a one-row ufunc buffer.  Raises
+    SelfIntersectingSamples when two midpoints coincide or the sum is not
+    finite.
     """
     _samples(first, second)
     pole = _choose_pole((first, second))
@@ -381,27 +421,29 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     da = np.roll(a3, -1, axis=0) - a3
     ma = a3 + 0.5 * da
     left = np.concatenate([np.cross(ma, da), -da], axis=1)
+    # unit-stride rows for the outer differences below
+    ma = np.ascontiguousarray(ma.T)
     del a3, da
     b3 = stereographic(second, pole)
     db = np.roll(b3, -1, axis=0) - b3
     mb = b3 + 0.5 * db
     right = np.ascontiguousarray(np.concatenate([db, np.cross(db, mb)], axis=1).T)
-    # unit-stride rows for the outer differences below
     columns = np.ascontiguousarray(mb.T)
     del b3, db, mb
     # row tiles of about _TILE_ELEMENTS pairs each
+    count = len(first)
     step = max(1, _TILE_ELEMENTS // len(second))
-    sep_tile, norm_tile = np.empty((2, min(step, len(ma)), len(second)))
+    sep_tile, norm_tile = np.empty((2, min(step, count), len(second)))
     total = 0.0
-    with np.errstate(all="ignore"):
-        for start in range(0, len(ma), step):
-            rows = slice(start, min(start + step, len(ma)))
+    with _tile_loop(len(second)):
+        for start in range(0, count, step):
+            rows = slice(start, min(start + step, count))
             sep, norm = sep_tile[: rows.stop - start], norm_tile[: rows.stop - start]
             # |sep|^3 from sep = ma - mb, one component at a time
-            np.subtract.outer(ma[rows, 0], columns[0], out=sep)
-            np.multiply(sep, sep, out=norm)
+            np.subtract.outer(ma[0, rows], columns[0], out=norm)
+            norm *= norm
             for k in (1, 2):
-                np.subtract.outer(ma[rows, k], columns[k], out=sep)
+                np.subtract.outer(ma[k, rows], columns[k], out=sep)
                 sep *= sep
                 norm += sep
             np.sqrt(norm, out=sep)
