@@ -174,7 +174,7 @@ def _script_verbs() -> dict:
     """Each script verb's operation and the types of its arguments.
 
     A starter's operation makes the surface; every other one takes the
-    surface first.  The one dict of this process, read as ``_SCRIPT_VERBS``.
+    surface first.  The one dict of this process.
     """
     from .fronts import FrontDiagram, word
     from .surfaces import (
@@ -200,12 +200,6 @@ def _script_verbs() -> dict:
         "cap": (cone_cap, (int, lambda text: FrontDiagram(word(text)))),
         "handle": (one_handle, (int, int)),
     }
-
-
-def __getattr__(name: str):
-    if name == "_SCRIPT_VERBS":
-        return _script_verbs()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _script_line(surface: SurfaceComplex | None, tokens: list[str], lineno: int):

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linking import _tile_loop
+from .linking import _pack, _split, _tile_loop
 
 # Grid points per block of a residual sweep.
 _TILE_ELEMENTS = 1 << 13
@@ -94,11 +94,6 @@ def _outputs(out, *args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shape = np.broadcast_shapes(*(np.shape(arg) for arg in args))
         out = np.empty(shape, complex), np.empty(shape, complex)
     return out
-
-
-def _pack(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    z1, z2 = np.broadcast_arrays(z1, z2)
-    return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
 
 
 def symplectic_pairing(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -379,11 +374,9 @@ def legendrian_residual(tolerance: float = 1e-6, perturbation: float = 0.0) -> V
         tangent = boundary_curve_tangent(s)
     else:
         def curve(values: np.ndarray) -> np.ndarray:
-            base = boundary_curve(values)
+            z1, z2 = _split(boundary_curve(values))
             phase = np.exp(1j * perturbation * np.sin(values))
-            z1 = (base[..., 0] + 1j * base[..., 1]) * phase
-            z2 = (base[..., 2] + 1j * base[..., 3]) * phase
-            return _pack(z1, z2)
+            return _pack(z1 * phase, z2 * phase)
 
         h = 1e-5
         points = curve(s)

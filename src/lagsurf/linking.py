@@ -1,10 +1,11 @@
 """Sphere-side integer oracles: linking, contact framing, tangent winding.
 
-Curves live on the unit sphere in (q1, p1, q2, p2)-space and are passed
+Curves live on the unit sphere in (q1, p1, q2, p2)-space, read as (z1, z2) =
+(q1 + i p1, q2 + i p2) by :func:`_split` and :func:`_pack`, and are passed
 around as (N, 4) sample arrays, closed implicitly (sample N wraps to 0).
-Each public oracle checks its samples once, on entry, without a copy: N >= 1,
-every entry finite, and no squared distance of two samples of a curve beyond
-the float range, else InvalidSamples.  The kernels take that as given.
+Each public oracle checks its samples once, on entry, without a copy: N >= 1
+and every sample on the sphere, else InvalidSamples.  The kernels take that
+as given.
 Linking numbers are computed combinatorially: stereographic projection to
 3-space away from both curves, then a generic planar projection with signed
 crossings.  A Gauss-integral route over the same 3-space images is provided
@@ -32,7 +33,7 @@ import numpy as np
 
 
 class InvalidSamples(ValueError):
-    """Samples are not a non-empty (N, 4) array of finite numbers."""
+    """Samples are not a non-empty (N, 4) array of points on the unit sphere."""
 
 
 class DegenerateProjection(RuntimeError):
@@ -77,22 +78,38 @@ def _tile_loop(row: int):
 
 
 def _samples(*curves: np.ndarray) -> None:
-    """Raise InvalidSamples unless every curve is (N, 4), N >= 1, and finite,
-    and no squared distance of two of its samples can overflow.
+    """Raise InvalidSamples unless every curve is (N, 4), N >= 1, on the unit sphere.
 
-    The kernels take norms of differences of samples as square roots of sums
-    of squares; each such sum is at most 4 (max - min)^2 over the curve's
-    entries, which must be finite.
+    Every entry must lie in [-2, 2], which rejects NaN and keeps the squares
+    finite, and every |x|^2 within 1e-2 of 1.  The tolerance covers the input
+    dtype's rounding: ``test_framing_is_linking_with_the_pushoff[boundary_float16]``
+    needs it, because float16 samples carry a radius error of about 1e-3.
     """
     for curve in curves:
         if np.ndim(curve) != 2 or np.shape(curve)[1] != 4 or len(curve) < 1:
             raise InvalidSamples(f"samples must be (N, 4) with N >= 1, not {np.shape(curve)}")
-        low, high = float(np.min(curve)), float(np.max(curve))
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise InvalidSamples("samples must be finite")
-        spread = high - low
-        if not math.isfinite(4.0 * spread * spread):
-            raise InvalidSamples("samples so far apart that their squared distances overflow")
+        if not -2.0 <= float(np.min(curve)) <= float(np.max(curve)) <= 2.0:
+            raise InvalidSamples("samples must lie in [-2, 2]")
+        if not float(np.max(np.abs(np.einsum("ij,ij->i", curve, curve) - 1.0))) <= 1e-2:
+            raise InvalidSamples("samples must lie on the unit sphere, |x|^2 within 1e-2 of 1")
+
+
+def _split(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z1, z2) of (q1, p1, q2, p2) points along a trailing axis of 4."""
+    return points[..., 0] + 1j * points[..., 1], points[..., 2] + 1j * points[..., 3]
+
+
+def _pack(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """(q1, p1, q2, p2) points along a trailing axis of 4, from (z1, z2)."""
+    return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
+
+
+def _steps(loop: np.ndarray) -> np.ndarray:
+    """Segment vectors of a closed loop, row i from sample i to i + 1 (N - 1 to 0)."""
+    d = np.empty_like(loop)
+    np.subtract(loop[1:], loop[:-1], out=d[:-1])
+    np.subtract(loop[:1], loop[-1:], out=d[-1:])
+    return d
 
 
 def _require_embedded(curve: np.ndarray) -> None:
@@ -105,8 +122,9 @@ def _require_embedded(curve: np.ndarray) -> None:
     n = len(curve)
     if n < 8:
         raise SelfIntersectingSamples("too few samples to resolve a closed curve")
-    gaps = np.linalg.norm(np.roll(curve, -1, axis=0) - curve, axis=1)
-    threshold = 0.5 * float(np.max(gaps))
+    threshold = 0.5 * float(np.max(np.linalg.norm(_steps(curve), axis=1)))
+    if threshold == 0:
+        raise SelfIntersectingSamples("every sample is the same point")
     for i, j in _near_pairs(curve, curve, threshold, self_join=True):
         band = np.abs(i - j)
         band = np.minimum(band, n - band)
@@ -222,11 +240,9 @@ def _crossing_bound(da: np.ndarray, db: np.ndarray) -> float:
 
 def reeb_pushoff(curve: np.ndarray, epsilon: float) -> np.ndarray:
     """Flow every sample by e^{i epsilon} in both complex coordinates."""
-    z1 = curve[:, 0] + 1j * curve[:, 1]
-    z2 = curve[:, 2] + 1j * curve[:, 3]
+    z1, z2 = _split(curve)
     phase = complex(math.cos(epsilon), math.sin(epsilon))
-    z1, z2 = phase * z1, phase * z2
-    return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
+    return _pack(phase * z1, phase * z2)
 
 
 def _candidate_poles() -> np.ndarray:
@@ -276,6 +292,12 @@ def _choose_pole(curves) -> np.ndarray:
     if closest[best] > 1.0 - 1e-4:
         raise DegenerateProjection("every candidate pole sits on a curve")
     return poles[best]
+
+
+def _project(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both curves' stereographic images from the pole :func:`_choose_pole` picks."""
+    pole = _choose_pole((first, second))
+    return stereographic(first, pole), stereographic(second, pole)
 
 
 def _view_rotation(angle: float) -> np.ndarray:
@@ -351,14 +373,11 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
 def _segments(loop: np.ndarray):
     """Segment vectors and (x, y) box corners ``lo``, ``hi`` of a closed loop.
 
-    Row i is the segment from sample i to sample i + 1, the last one wrapping
-    to sample 0.  Each is taken by slice differences, and the corners column
-    by column, so neither a rolled copy of the loop nor a buffered copy of
-    its strided (x, y) columns is made.
+    The segments are :func:`_steps`, and the corners are taken column by
+    column, so neither a rolled copy of the loop nor a buffered copy of its
+    strided (x, y) columns is made.
     """
-    d = np.empty_like(loop)
-    np.subtract(loop[1:], loop[:-1], out=d[:-1])
-    np.subtract(loop[:1], loop[-1:], out=d[-1:])
+    d = _steps(loop)
     lo, hi = np.empty((2, len(loop), 2))
     for k in (0, 1):
         column = loop[:, k]
@@ -371,8 +390,7 @@ def _segments(loop: np.ndarray):
 def linking_number(first: np.ndarray, second: np.ndarray) -> int:
     """Combinatorial linking number of two disjoint sphere loops."""
     _samples(first, second)
-    pole = _choose_pole((first, second))
-    return _view_linking(stereographic(first, pole), stereographic(second, pole))
+    return _view_linking(*_project(first, second))
 
 
 def _view_linking(a3: np.ndarray, b3: np.ndarray) -> int:
@@ -416,16 +434,14 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
     finite.
     """
     _samples(first, second)
-    pole = _choose_pole((first, second))
-    a3 = stereographic(first, pole)
-    da = np.roll(a3, -1, axis=0) - a3
+    a3, b3 = _project(first, second)
+    da = _steps(a3)
     ma = a3 + 0.5 * da
     left = np.concatenate([np.cross(ma, da), -da], axis=1)
     # unit-stride rows for the outer differences below
     ma = np.ascontiguousarray(ma.T)
     del a3, da
-    b3 = stereographic(second, pole)
-    db = np.roll(b3, -1, axis=0) - b3
+    db = _steps(b3)
     mb = b3 + 0.5 * db
     right = np.ascontiguousarray(np.concatenate([db, np.cross(db, mb)], axis=1).T)
     columns = np.ascontiguousarray(mb.T)
@@ -461,18 +477,16 @@ def contact_framing(curve: np.ndarray, epsilon: float = 1e-2) -> int:
     """Link a closed Legendrian with its Reeb push-off (its framing number).
 
     The push-off e^{i epsilon} never meets the curve, so any positive epsilon
-    works; halving it must not change the answer, which tests exploit.  This
-    is :func:`linking_number` of the curve and its push-off, except that the
-    push-off is dropped once it is projected, so the planar views run
+    works; halving it must not change the answer, which tests exploit.  The
+    flow is unitary, so the push-off of samples on the sphere is on it too.
+    This is :func:`linking_number` of the curve and its push-off, except that
+    the push-off is dropped once it is projected, so the planar views run
     without it.
     """
     _samples(curve)
     _require_embedded(curve)
     pushoff = reeb_pushoff(curve, epsilon)
-    # the flow of samples near the float limit can overflow
-    _samples(pushoff)
-    pole = _choose_pole((curve, pushoff))
-    a3, b3 = stereographic(curve, pole), stereographic(pushoff, pole)
+    a3, b3 = _project(curve, pushoff)
     del pushoff
     return _view_linking(a3, b3)
 
@@ -489,10 +503,7 @@ def tangent_winding(curve: np.ndarray) -> int:
     speed = np.linalg.norm(tangent, axis=1)
     if float(np.min(speed)) < 1e-12:
         raise TangentDegenerate("sampled tangent vanishes")
-    z1 = curve[:, 0] + 1j * curve[:, 1]
-    z2 = curve[:, 2] + 1j * curve[:, 3]
-    t1 = tangent[:, 0] + 1j * tangent[:, 1]
-    t2 = tangent[:, 2] + 1j * tangent[:, 3]
+    (z1, z2), (t1, t2) = _split(curve), _split(tangent)
     frame = z1 * t2 - z2 * t1
     if float(np.min(np.abs(frame))) < 1e-9 * float(np.max(np.abs(frame))):
         raise TangentDegenerate("tangent leaves the contact plane frame")

@@ -31,6 +31,7 @@ from lagsurf.linking import (
     DegenerateProjection,
     SelfIntersectingSamples,
     _candidate_poles,
+    _pack,
     _view_rotation,
     reeb_pushoff,
     stereographic,
@@ -673,6 +674,20 @@ def reference_front_connected_sum(f: FrontDiagram, g: FrontDiagram) -> FrontDiag
     except FrontError:
         adaptor = FrontDiagram.from_word("L1 L1 X2 R3 R1")
         return _reference_splice(_reference_splice(f, adaptor), g)
+
+
+# -- sphere curves with closed-form answers --------------------------------
+
+
+def legendrian_torus_knot(p: int, q: int, s: np.ndarray) -> np.ndarray:
+    """(a e^{ips}, b e^{-iqs}) with a^2 = q/(p+q), b^2 = p/(p+q), as (N, 4) samples.
+
+    For coprime p, q > 0 this is the negative torus knot T(p, -q), Legendrian
+    on a Clifford torus of the unit sphere, with tb = -pq, the maximal tb of
+    its knot type (Etnyre-Honda 2001), and rot = p - q.
+    """
+    a, b = math.sqrt(q / (p + q)), math.sqrt(p / (p + q))
+    return _pack(a * np.exp(1j * p * s), b * np.exp(-1j * q * s))
 
 
 # -- dense all-pairs kernels of ``linking``, kept as references ------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    legendrian_torus_knot,
     reference_choose_pole,
     reference_contact_framing,
     reference_gauss_linking,
@@ -154,6 +155,23 @@ def test_too_few_samples_rejected():
         contact_framing(flat_circle()[:4])
 
 
+def test_constant_curve_is_rejected():
+    # every step is 0, so half the longest one is no threshold at all
+    with pytest.raises(SelfIntersectingSamples):
+        contact_framing(np.tile([1.0, 0.0, 0.0, 0.0], (16, 1)))
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (3, 1), (3, 2), (5, 2), (4, 3)])
+def test_legendrian_torus_knots(p, q, n):
+    """T(p, -q): framing -pq in both orientations, winding p - q, reversed q - p."""
+    curve = legendrian_torus_knot(p, q, np.linspace(0.0, 2 * math.pi, n, endpoint=False))
+    reverse = curve[::-1].copy()
+    assert contact_framing(curve) == contact_framing(reverse) == -p * q
+    assert tangent_winding(curve) == p - q
+    assert tangent_winding(reverse) == q - p
+
+
 def test_height_tie_is_degenerate():
     square = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
@@ -187,10 +205,17 @@ INVALID_SAMPLES = {
     "three_columns": lambda: boundary_curve(S)[:, :3],
     "empty": lambda: np.empty((0, 4)),
     "one_dimension": lambda: boundary_curve(S)[0],
-    # finite samples whose differences overflow, and ones whose squared
-    # distances do
+    # finite samples off the unit sphere: far out, where differences or
+    # squares overflow, and near it
     "differences_overflow": lambda: boundary_curve(S[::8]) * 1.5e308,
     "squares_overflow": lambda: boundary_curve(S) * 1e200,
+    "shifted_to_the_float_limit": lambda: boundary_curve(S) + 1.7e308,
+    "scaled_by_two": lambda: 2 * boundary_curve(S),
+    "scaled_by_half": lambda: 0.5 * boundary_curve(S),
+    "shifted": lambda: boundary_curve(S) + 0.3,
+    "one_row_off_the_sphere": lambda: with_rows(
+        boundary_curve(S), 10, 1.2 * boundary_curve(S)[10]
+    ),
 }
 
 
@@ -341,7 +366,7 @@ FRAMING_INPUTS = {
     "stalled": lambda: with_rows(flat_circle(), 10, flat_circle()[8]),
     "doubled": doubled_circle,
     "too_few": lambda: flat_circle()[:4],
-    # finite samples whose push-off overflows
+    # finite samples near the float limit, far off the sphere
     "near_the_float_limit": lambda: boundary_curve(S) * 1e300 + [1.78e308, 1.78e308, 0.0, 0.0],
     **INVALID_SAMPLES,
 }

@@ -48,12 +48,13 @@ def test_regenerate_table_reports_a_bad_witness(capsys, monkeypatch):
 
 def test_regenerate_table_takes_one_surface_step_per_node(capsys, monkeypatch):
     calls = []
-    for verb, (operation, kinds) in list(lagsurf.cli._SCRIPT_VERBS.items()):
+    verbs = lagsurf.cli._script_verbs()
+    for verb, (operation, kinds) in list(verbs.items()):
         def counted(*args, verb=verb, operation=operation):
             calls.append(verb)
             return operation(*args)
 
-        monkeypatch.setitem(lagsurf.cli._SCRIPT_VERBS, verb, (counted, kinds))
+        monkeypatch.setitem(verbs, verb, (counted, kinds))
     code = load_script("regenerate_table").run(["--min-chi", "-12", "--deep-check", "-1"])
     capsys.readouterr()
     assert code == 0
