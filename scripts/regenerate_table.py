@@ -37,16 +37,15 @@ def run(argv=None) -> int:
 
     tokens = {rule: line.split() for rule, line in _RULE_LINES.items()}
 
-    def step(state, rule):
+    def step(surface, rule):
         # a child's surface is its parent's with the next line of its witness
         # script run; surfaces are frozen, so siblings share the parent's
-        surface, lineno = state
-        return _script_line(surface, tokens[rule], lineno + 1), lineno + 1
+        return _script_line(surface, tokens[rule])
 
     graph = derive_table(args.min_chi)
-    rows = graph.fold((_script_line(None, ["klein"], 1), 1), step)
-    for i, (row, states) in enumerate(zip(graph.eulers, rows)):
-        for euler, (surface, _) in sorted(zip(row, states), key=lambda pair: pair[0]):
+    rows = graph.fold(_script_line(None, ["klein"]), step)
+    for i, (row, surfaces) in enumerate(zip(graph.eulers, rows)):
+        for euler, surface in sorted(zip(row, surfaces), key=lambda pair: pair[0]):
             landed = (surface.chi, euler_number(surface))
             if landed != (-i, euler):
                 print(

@@ -2,8 +2,10 @@
 layers together.
 
 Exit codes: 0 success, 1 domain error (invalid input, a file that cannot be
-read or written, failed verification), 2 usage error.  All JSON output
-carries ``"schema": 1`` and sorted keys; surface-build scripts are
+read or written, failed verification), 2 usage error.  A domain error is any
+``ValueError``, which every lagsurf error is, or an ``OSError``; it prints one
+``error:`` line, and an error in a surface script names its line.  All JSON
+output carries ``"schema": 1`` and sorted keys; surface-build scripts are
 line-oriented verb lists that map one-to-one onto the cobordism operations,
 so derivation witnesses double as runnable scripts.
 """
@@ -21,21 +23,6 @@ if TYPE_CHECKING:
     from .moves import MoveInstance
     from .surfaces import SurfaceComplex
     from .table import Rule
-
-# Each verb imports only the layers it runs, when it runs.  So ``main`` looks
-# up a layer's domain errors only if the layer was loaded: a layer that was
-# never loaded cannot have raised.
-def _domain_errors() -> tuple[type[Exception], ...]:
-    errors = [ValueError, OSError]
-    for module, name in (
-        ("lagsurf.fronts", "FrontError"),
-        ("lagsurf.surfaces", "SurfaceError"),
-        ("lagsurf.table", "ClosureMismatch"),
-    ):
-        if module in sys.modules:
-            errors.append(getattr(sys.modules[module], name))
-    return tuple(errors)
-
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -113,7 +100,7 @@ def _parse_move(text: str) -> MoveInstance:
         return MoveInstance(
             MoveId(head), (int(index), int(pos)), MoveDirection(direction)
         )
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         raise ValueError(f"bad move spec {text!r} "
                          "(want id@index:pos:forward|backward)") from err
 
@@ -157,13 +144,13 @@ def _moves_equiv(args) -> int:
 # -- surface scripts -----------------------------------------------------
 
 
-def _script_arg(kind, token: str, lineno: int):
+def _script_arg(kind, token: str):
     if kind is not int:
         return kind(token)
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"script line {lineno}: expected an integer, got {token!r}")
+        raise ValueError(f"expected an integer, got {token!r}")
 
 
 _STARTERS = ("klein", "genus", "piece")
@@ -202,11 +189,8 @@ def _script_verbs() -> dict:
     }
 
 
-def _script_line(surface: SurfaceComplex | None, tokens: list[str], lineno: int):
+def _script_line(surface: SurfaceComplex | None, tokens: list[str]):
     """The surface after one script line, given as its tokens, verb first."""
-    from .fronts import FrontError
-    from .surfaces import SurfaceError
-
     verbs = _script_verbs()
     verb = tokens[0]
     if verb in _STARTERS:
@@ -222,22 +206,26 @@ def _script_line(surface: SurfaceComplex | None, tokens: list[str], lineno: int)
         tokens = [*tokens[:2], " ".join(tokens[2:])]
     if len(tokens) != 1 + len(kinds):
         problem = "is missing" if len(tokens) <= len(kinds) else "has too many"
-        raise ValueError(f"script line {lineno}: {verb} {problem} arguments")
-    try:
-        args = [_script_arg(kind, token, lineno) for kind, token in zip(kinds, tokens[1:])]
-        return operation(*args) if surface is None else operation(surface, *args)
-    except (FrontError, SurfaceError) as err:
-        raise type(err)(f"script line {lineno}: {err}") from err
+        raise ValueError(f"{verb} {problem} arguments")
+    args = [_script_arg(kind, token) for kind, token in zip(kinds, tokens[1:])]
+    return operation(*args) if surface is None else operation(surface, *args)
 
 
 def run_surface_script(text: str) -> SurfaceComplex:
-    """Execute a line-oriented build script and return the final complex."""
+    """Execute a line-oriented build script and return the final complex.
+
+    An error on a line keeps its type and gains the prefix ``script line N:``.
+    """
     surface: SurfaceComplex | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         cut = raw.find("#")
         tokens = (raw[:cut] if cut >= 0 else raw).split()
         if tokens:
-            surface = _script_line(surface, tokens, lineno)
+            try:
+                surface = _script_line(surface, tokens)
+            except ValueError as err:
+                err.args = (f"script line {lineno}: {err}",)
+                raise
     if surface is None:
         raise ValueError("empty script")
     return surface
@@ -441,7 +429,7 @@ def _verify(args) -> int:
         strip_identities,
         umbrella_family,
     )
-    from .linking import DegenerateProjection, contact_framing, tangent_winding
+    from .linking import contact_framing, tangent_winding
 
     # Each family gives its (check, report) pairs, extra JSON fields, whether
     # those fields hold their required values, and its samples for the CSV as
@@ -491,10 +479,7 @@ def _verify(args) -> int:
             [("convergence", convergence_to_cone([0.2, 0.1, 0.05]))], {}, True, None
         ),
     }
-    try:
-        checks, extra, extra_ok, samples = families[args.family]()
-    except DegenerateProjection as err:
-        return _domain_error(err)
+    checks, extra, extra_ok, samples = families[args.family]()
     if args.csv:
         _write_csv(args.csv, *samples)
 
@@ -603,17 +588,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _domain_error(err: Exception) -> int:
-    print(f"error: {err}", file=sys.stderr)
-    return 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _domain_errors() as err:
-        return _domain_error(err)
+    except (ValueError, OSError) as err:
+        # every lagsurf error is a ValueError
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

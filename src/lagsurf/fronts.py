@@ -79,7 +79,7 @@ def word(text: str | Iterable[FrontEvent]) -> tuple[FrontEvent, ...]:
     return tuple(out)
 
 
-class FrontError(Exception):
+class FrontError(ValueError):
     """Base class for malformed slice words and misused front operations."""
 
 

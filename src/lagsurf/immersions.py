@@ -112,15 +112,14 @@ def radial_contact(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def strip_half_width(a: float) -> float:
-    """|T| at which the strip meets the unit sphere."""
+    """|T| at which the strip meets the unit sphere; ``a`` must be in (0, sqrt 2)."""
     if not 0 < a < math.sqrt(2):
         raise AOutOfRange(f"strip parameter must be in (0, sqrt 2), got {a}")
     return math.sqrt((2.0 / 3.0) * (1.0 / a**2 - 0.5))
 
 
 def strip_family(a: float) -> ImmersionFamily:
-    if not 0 < a < math.sqrt(2):
-        raise AOutOfRange(f"strip parameter must be in (0, sqrt 2), got {a}")
+    strip_half_width(a)  # rejects an a outside (0, sqrt 2)
 
     def chart(s: np.ndarray, t: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         s, t = np.asarray(s, float), np.asarray(t, float)

@@ -36,7 +36,7 @@ class InvalidSamples(ValueError):
     """Samples are not a non-empty (N, 4) array of points on the unit sphere."""
 
 
-class DegenerateProjection(RuntimeError):
+class DegenerateProjection(ValueError):
     """No tried projection separated the curves' crossings cleanly."""
 
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 
 from .classify import check_closed_surface
 from .fronts import FrontDiagram, FrontError
-from .moves import MoveInstance, MoveNotApplicable, align_facing_cusps, replay_moves
+from .moves import MoveInstance, align_facing_cusps, replay_moves
 
 
-class SurfaceError(Exception):
+class SurfaceError(ValueError):
     """Base class for surface assembly errors."""
 
 
@@ -273,7 +273,7 @@ def isotopy_cylinder(
     """
     try:
         final = replay_moves(s.boundary.events, witness)
-    except (MoveNotApplicable, FrontError) as exc:
+    except FrontError as exc:
         raise InvalidWitness(str(exc)) from exc
     if final != target.events:
         raise InvalidWitness("witness does not reach the target word")

@@ -50,7 +50,7 @@ SEED = DiskBundle(0, -4)
 T = TypeVar("T")
 
 
-class ClosureMismatch(Exception):
+class ClosureMismatch(ValueError):
     """Derived node set disagrees with the classifier."""
 
 

@@ -1,5 +1,7 @@
 """End-to-end command dispatch: exit codes, JSON contracts, script replay."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,12 +10,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lagsurf.cli
 import lagsurf.linking
 from helpers import reference_derive_table
 from lagsurf.cli import _load_diagram, _parser, main, run_surface_script, witness_script
-from lagsurf.surfaces import euler_number
+from lagsurf.fronts import PositionOutOfRange
+from lagsurf.moves import MoveDirection, MoveId
+from lagsurf.surfaces import NoConePoint, euler_number, standard_pieces
 from lagsurf.table import Rule, derive_table
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
@@ -92,6 +97,9 @@ def test_front_render_is_stable(capsys, tmp_path):
     assert run(capsys, "front", "render", corpus_file("kink-down"), "--out", str(out_b))[0] == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.read_text().startswith("<svg")
+    code, out, _ = run(capsys, "front", "render", corpus_file("kink-down"))
+    assert code == 0
+    assert out == out_a.read_text()
 
 
 def test_moves_list_and_apply_round(capsys):
@@ -177,7 +185,9 @@ def test_surface_build_unknown_piece(capsys, tmp_path):
     code, out, err = run(capsys, "surface", "build", str(script))
     assert code == 1
     assert out == ""
-    assert err == "error: unknown piece 'x'; have ['cylinder2', 'cylinder4', 'mobius3']\n"
+    assert err == (
+        "error: script line 1: unknown piece 'x'; have ['cylinder2', 'cylinder4', 'mobius3']\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -217,6 +227,87 @@ def test_surface_script_index_errors(capsys, tmp_path, lines, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_script_errors_keep_their_type_and_fields():
+    with pytest.raises(NoConePoint, match=r"^script line 2: no cone point 99$"):
+        run_surface_script("klein\nsplit 99\n")
+    with pytest.raises(PositionOutOfRange) as caught:
+        run_surface_script("piece mobius3\ncap 0 L2 R1\n")
+    assert str(caught.value) == "script line 2: event 0 (L2) is out of range with 0 strands active"
+    assert (caught.value.index, caught.value.strands) == (0, 0)
+
+
+# A script: a starter, then up to four lines drawn from every verb, an unknown
+# one, and caps whose model word is any run of up to six events.
+_EVENTS = st.builds("{}{}".format, st.sampled_from("LXR"), st.integers(0, 4))
+_INDEX = st.integers(-1, 3)
+_SCRIPT_LINES = st.one_of(
+    st.builds("cap {} {}".format, _INDEX, st.lists(_EVENTS, max_size=6).map(" ".join)),
+    st.builds("{} {}".format, st.sampled_from(["split", "smooth", "mark", "wobble"]), _INDEX),
+    st.builds("handle {} {}".format, _INDEX, _INDEX),
+    st.sampled_from(["glue3", "klein", "handle", "cap"]),
+)
+_SCRIPTS = st.builds(
+    lambda starter, lines: "\n".join([starter, *lines]) + "\n",
+    st.sampled_from(["klein", "genus 2", *(f"piece {name}" for name in standard_pieces())]),
+    st.lists(_SCRIPT_LINES, max_size=4),
+)
+
+
+def run_quietly(*argv):
+    """``main(argv)`` with its output captured, for use under ``@given``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, err):
+    """Exit 0 or 1, and one ``error:`` line exactly when the exit is 1."""
+    assert code in (0, 1)
+    assert len(err.splitlines()) == code
+    assert err.startswith("error: ") or not code
+
+
+@settings(max_examples=150)
+@given(script=_SCRIPTS)
+def test_surface_build_keeps_the_cli_contract(tmp_path_factory, script):
+    path = tmp_path_factory.getbasetemp() / "fuzz.surf"
+    path.write_text(script)
+    code, out, err = run_quietly("surface", "build", str(path))
+    assert_contract(code, err)
+    if code:
+        assert err.startswith("error: script line ")
+    else:
+        assert json.loads(out)["schema"] == 1
+
+
+_FRONT_LINES = st.one_of(
+    st.builds("{} {}".format, st.sampled_from("LXR"), st.integers(0, 4)),
+    st.builds("orient {} {}".format, st.integers(0, 2), st.sampled_from("+-*")),
+    st.sampled_from(["front f", "front a/b", "X", "wobble 1"]),
+)
+_MOVE_SPECS = st.one_of(
+    st.builds(
+        "{}@{}:{}:{}".format,
+        st.sampled_from([*MoveId, "nonsense"]),
+        st.integers(-1, 6),
+        st.integers(-1, 3),
+        st.sampled_from([*MoveDirection, "sideways"]),
+    ),
+    st.sampled_from(["nonsense", "slide@1:1", "slide@x:1:forward"]),
+)
+
+
+@settings(max_examples=150)
+@given(lines=st.lists(_FRONT_LINES, max_size=8), move=_MOVE_SPECS)
+def test_front_verbs_keep_the_cli_contract(tmp_path_factory, lines, move):
+    path = tmp_path_factory.getbasetemp() / "fuzz.front"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    for argv in (["front", "stats", str(path)], ["moves", "apply", str(path), move]):
+        code, _, err = run_quietly(*argv)
+        assert_contract(code, err)
 
 
 def test_classify_spotlights(capsys):

@@ -66,6 +66,7 @@ def test_bad_position_token_carries_location():
     [
         "wobble 1\n",
         "front a b\n",
+        "front a/b\n",
         "front\n",
         "L 1\nfront late\n",
         "L 0\n",

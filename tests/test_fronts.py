@@ -197,6 +197,7 @@ def test_reverse_negates_rot():
     assert z.rotation_number() == -1
     assert z.reverse().rotation_number() == 1
     assert z.reverse().thurston_bennequin() == -2
+    assert (str(z), str(z.reverse())) == ("L1 L1 R2 R1", "L1 L1 R2 R1  [-]")
 
 
 def test_mirror_words():

@@ -1,4 +1,9 @@
-"""The package's re-exports of the front layer, resolved on first access."""
+"""The package's re-exports of the front layer, resolved on first access,
+and its one error base."""
+
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
@@ -21,3 +26,17 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         lagsurf.no_such_name
     assert not hasattr(lagsurf, "reeb_pushoff")
+
+
+def test_every_lagsurf_error_is_a_value_error():
+    # ``cli.main`` maps ValueError to one ``error:`` line, so an error class
+    # on another base would end the CLI in a traceback
+    errors = [
+        cls
+        for info in pkgutil.iter_modules(lagsurf.__path__, "lagsurf.")
+        for _, cls in inspect.getmembers(importlib.import_module(info.name), inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == info.name
+    ]
+    roots = {"FrontError", "SurfaceError", "ClosureMismatch", "DegenerateProjection"}
+    assert roots <= {cls.__name__ for cls in errors}
+    assert [cls for cls in errors if not issubclass(cls, ValueError)] == []

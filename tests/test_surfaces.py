@@ -136,6 +136,9 @@ def test_cone_cap_mismatch():
         cone_cap(hopf_piece, 0, TRIVIAL)  # linked boundary component
     with pytest.raises(BoundaryNotUnknotCompatible):
         cone_cap(disk, 0, FrontDiagram.from_word("L1 R1 L1 R1"))  # not a knot
+    trefoil = FrontDiagram.from_word("L1 L2 X1 X1 X1 R2 R1")  # (1, 0)
+    with pytest.raises(BoundaryNotUnknotCompatible, match="outside the unknot range"):
+        cone_cap(disk, 0, trefoil)
 
 
 def test_indices_out_of_range_are_typed():
@@ -196,6 +199,7 @@ def test_one_handle_joins_components():
     assert joined.chi == 1
     assert joined.boundary.component_count == 1
     assert joined.orientable
+    assert one_handle(pair, 2, 1) == joined  # the birth cusp named first
 
 
 def test_one_handle_bad_cusps():
@@ -257,6 +261,8 @@ def test_isotopy_cylinder_rejects_bad_witness():
         isotopy_cylinder(s, other, [])  # stays on zig
     with pytest.raises(InvalidWitness):
         isotopy_cylinder(s, other, witness + witness)  # overshoots the target
+    with pytest.raises(InvalidWitness, match="orientations"):
+        isotopy_cylinder(s, zig.reverse(), [])  # same word, rot negated
 
 
 # -- mobius_smoothing and the strip gluing ----------------------------------
@@ -271,6 +277,9 @@ def test_mobius_smoothing_steps():
         mobius_smoothing(genus_chain(2), 0)
     with pytest.raises(NotBasicSingularity):
         mobius_smoothing(SurfaceComplex(0, False, FrontDiagram(())), 0)
+    widened = SurfaceComplex(0, False, FrontDiagram(()), (Singularity(-3, 0),))
+    with pytest.raises(NotBasicSingularity, match="needs a basic cone point"):
+        mobius_smoothing(widened, 0)
 
 
 def test_glue_strip_steps():
