@@ -153,6 +153,16 @@ def _script_arg(kind, token: str):
         raise ValueError(f"expected an integer, got {token!r}")
 
 
+def _genus(token: str) -> int:
+    """A ``genus`` argument whose surface has chi at least ``_TABLE_MIN_CHI``."""
+    genus = _script_arg(int, token)
+    if 2 - 2 * genus < _TABLE_MIN_CHI:
+        raise ValueError(
+            f"genus {genus} has chi {2 - 2 * genus}, below the lowest chi {_TABLE_MIN_CHI}"
+        )
+    return genus
+
+
 _STARTERS = ("klein", "genus", "piece")
 
 
@@ -178,7 +188,7 @@ def _script_verbs() -> dict:
 
     return {
         "klein": (klein_base, ()),
-        "genus": (genus_chain, (int,)),
+        "genus": (genus_chain, (_genus,)),
         "piece": (piece, (str,)),
         "split": (split_cone, (int,)),
         "smooth": (mobius_smoothing, (int,)),
@@ -334,8 +344,9 @@ def _write_table_json(graph) -> None:
     write("\n  ]\n}\n")
 
 
-# The lowest --min-chi: the closure grows as chi squared, and below this
-# ``table --check`` no longer answers within seconds.
+# The lowest chi of --min-chi, classify --chi and a script's genus: the closure
+# grows as chi squared, and below this ``table --check`` no longer answers
+# within seconds.
 _TABLE_MIN_CHI = -2000
 # The lowest --min-chi of ``--format json``: its witness scripts grow as chi
 # cubed, 38.8 MB at -200 and 300 MB here.
@@ -551,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_surface_euler)
 
     p = sub.add_parser("classify", help="membership in the realization sets")
-    p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--chi", type=_int_at_least(_TABLE_MIN_CHI), required=True,
+                   help=f"Euler characteristic, at least {_TABLE_MIN_CHI}")
     p.add_argument("--euler", type=int, required=True)
     p.add_argument("--orientable", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -27,6 +27,14 @@ two crossings of a cusp-pass cancel:
 * rotation number = (down cusps - up cusps) / 2
 * tb = (sum of self-crossing signs) - (own cusp count) / 2
 * lk(i, j) = half the signed count of crossings between components i and j
+
+Footprints, where an event acts: ``FOOTPRINT`` gives ``(taken, left)`` per
+kind, ``L`` (0, 2), ``X`` (2, 2), ``R`` (2, 0).  An event at ``p`` takes the
+strands ``p .. p+taken-1`` off the stack and leaves ``left`` strands at
+``p .. p+left-1``; an empty range is the gap above strand ``p``.  It is valid
+after ``n`` strands iff ``1 <= p <= n + 1 - taken``, and it changes the count
+by ``left - taken`` (``STRAND_CHANGE``); one that would leave a negative count
+is reported as such before its position is checked.
 """
 
 from __future__ import annotations
@@ -47,8 +55,10 @@ class EventKind(str, Enum):
         return self.value
 
 
+# Per kind, the strands an event takes off the stack and leaves there.
+FOOTPRINT = {EventKind.LEFT_CUSP: (0, 2), EventKind.CROSSING: (2, 2), EventKind.RIGHT_CUSP: (2, 0)}
 # The change in the strand count across an event of each kind.
-STRAND_CHANGE = {EventKind.LEFT_CUSP: 2, EventKind.CROSSING: 0, EventKind.RIGHT_CUSP: -2}
+STRAND_CHANGE = {kind: left - taken for kind, (taken, left) in FOOTPRINT.items()}
 
 
 @dataclass(frozen=True, order=True)
@@ -171,7 +181,7 @@ class _Structure:
         "components",
         "walk_dir",
         "cusp_sense",
-        "max_strands",
+        "counts",
     )
 
     def __init__(self, events: Sequence[FrontEvent]):
@@ -180,37 +190,34 @@ class _Structure:
         deaths: list[int] = []
         cusps: list[tuple[int, EventKind, int, int]] = []
         crossings: list[tuple[int, int, int]] = []
-        max_strands = 0
+        counts: list[int] = []
         for i, ev in enumerate(events):
             n = len(active)
+            counts.append(n)
             kind, pos = ev.kind, ev.pos
+            taken, left = FOOTPRINT[kind]
+            if n + left < taken:
+                raise NegativeStrandCount(i, ev, n)
+            if not 1 <= pos <= n + 1 - taken:
+                raise PositionOutOfRange(i, ev, n)
             if kind is _LEFT:
-                if not 1 <= pos <= n + 1:
-                    raise PositionOutOfRange(i, ev, n)
                 u = len(births)
                 births += (len(cusps), len(cusps))
                 deaths += (-1, -1)
                 active[pos - 1 : pos - 1] = (u, u + 1)
                 cusps.append((i, kind, u, u + 1))
-                if n + 2 > max_strands:
-                    max_strands = n + 2
             elif kind is _CROSSING:
-                if not 1 <= pos <= n - 1:
-                    raise PositionOutOfRange(i, ev, n)
                 a, b = active[pos - 1], active[pos]
                 crossings.append((i, a, b))
                 active[pos - 1], active[pos] = b, a
             else:
-                if n < 2:
-                    raise NegativeStrandCount(i, ev, n)
-                if not 1 <= pos <= n - 1:
-                    raise PositionOutOfRange(i, ev, n)
                 a, b = active[pos - 1], active[pos]
                 deaths[a] = deaths[b] = len(cusps)
                 cusps.append((i, kind, a, b))
                 del active[pos - 1 : pos + 1]
         if active:
             raise NonClosedFront(len(active))
+        counts.append(0)
 
         arc_count = len(births)
         component_of = [-1] * arc_count
@@ -241,7 +248,8 @@ class _Structure:
         self.components = tuple(components)
         self.walk_dir = tuple(walk_dir)
         self.cusp_sense = tuple(cusp_sense)
-        self.max_strands = max_strands
+        # the strand count before each event and after the last
+        self.counts = tuple(counts)
 
 
 def _checked_signs(
@@ -330,7 +338,7 @@ class FrontDiagram:
 
     @property
     def max_strands(self) -> int:
-        return self._structure.max_strands
+        return max(self._structure.counts)
 
     def component_of(self, arc: int) -> int:
         return self._structure.component_of[arc]
@@ -458,13 +466,11 @@ class FrontDiagram:
         The orientation is pushed forward, so tb is preserved per component
         and rot is negated.  Involution.
         """
-        out = []
-        n = 0
-        for ev in self.events:
-            # the event's pair, counted from the bottom of its fuller side
-            after = n + STRAND_CHANGE[ev.kind]
-            out.append(FrontEvent(ev.kind, max(n, after) - ev.pos))
-            n = after
+        # each position reversed within its valid range 1 .. n + 1 - taken
+        out = [
+            FrontEvent(ev.kind, n + 2 - FOOTPRINT[ev.kind][0] - ev.pos)
+            for ev, n in zip(self.events, self._structure.counts)
+        ]
         # the mirror swaps each birth pair: arc a of the mirror corresponds
         # to arc a^1 here, and horizontal directions are preserved
         return self._pushed_forward(FrontDiagram(tuple(out)), lambda a: a ^ 1, +1)

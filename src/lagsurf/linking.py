@@ -499,7 +499,11 @@ def tangent_winding(curve: np.ndarray) -> int:
     must close up to an integer multiple of 2 pi.
     """
     _samples(curve)
-    tangent = (np.roll(curve, -1, axis=0) - np.roll(curve, 1, axis=0)) * 0.5
+    n = len(curve)
+    tangent = np.empty(curve.shape, np.result_type(curve, 0.5))
+    np.subtract(curve[2:], curve[:-2], out=tangent[1:-1])
+    tangent[0], tangent[-1] = curve[1 % n] - curve[-1], curve[0] - curve[-2 % n]  # wrap rows
+    tangent *= 0.5
     speed = np.linalg.norm(tangent, axis=1)
     if float(np.min(speed)) < 1e-12:
         raise TangentDegenerate("sampled tangent vanishes")

@@ -25,8 +25,8 @@ forward r3 at ``(i, p)`` is the backward r3 at ``(i, p+1)``.
 
 A rewrite applies where ``before`` matches at an index from 0 to
 ``len(word) - len(before)`` and each event of ``after`` is valid at the
-strand count ``n`` it meets: ``L q`` needs ``1 <= q <= n+1``, and ``X q`` and
-``R q`` need ``1 <= q <= n-1``.  That one rule inserts kinks on the strands
+strand count ``n`` it meets, by the footprint rule of :mod:`lagsurf.fronts`:
+``1 <= q <= n + 1 - taken``.  That one rule inserts kinks on the strands
 ``1..n`` and asks a cusp pass for a strand on its side of the cusp.
 
 r1 (swallowtail): the kink's crossing pairs the old strand with one *new*
@@ -38,9 +38,9 @@ position in the contracted form.  The two crossings pair the strand with the
 cusp's two (antiparallel) arcs, so their signs cancel.  Forward expands,
 backward contracts.
 
-Slides swap ``events[i], events[i+1]`` with positions adjusted for the
-other event's strand-count shift; a slide is its own inverse at the same
-index.
+Slides swap ``events[i], events[i+1]`` when their footprints are disjoint,
+renumbering the lower of the two (:func:`commute_pair`); a slide is its own
+inverse at the same index.
 
 Moves act on words.  Orientations are carried across the rewrite by
 matching the traversal sense of a cusp outside the rewritten window: every
@@ -100,6 +100,7 @@ from operator import add, attrgetter
 from typing import Iterable, Optional
 
 from lagsurf.fronts import (
+    FOOTPRINT,
     STRAND_CHANGE,
     EventKind,
     FrontDiagram,
@@ -189,13 +190,6 @@ _PATTERNS: dict[tuple[MoveId, MoveDirection], tuple[Window, Window]] = {
     ),
 }
 
-def _strand_counts(events: Word) -> list[int]:
-    """Strand count before each event index (length ``len(events) + 1``)."""
-    counts = [0]
-    for ev in events:
-        counts.append(counts[-1] + STRAND_CHANGE[ev.kind])
-    return counts
-
 
 def _matches(events: Word, i: int, p: int, window: Window) -> bool:
     """Whether the events from index ``i`` on spell ``window`` at ``p``.
@@ -211,9 +205,10 @@ def _matches(events: Word, i: int, p: int, window: Window) -> bool:
 def _fits(window: Window, p: int, n: int) -> bool:
     """Whether ``window`` at ``p`` is a valid run of events after ``n`` strands."""
     for kind, offset in window:
-        if not 1 <= p + offset <= (n + 1 if kind is L else n - 1):
+        taken, left = FOOTPRINT[kind]
+        if not 1 <= p + offset <= n + 1 - taken:
             return False
-        n += STRAND_CHANGE[kind]
+        n += left - taken
     return True
 
 
@@ -235,56 +230,31 @@ def _moves_at(events: Word, i: int, n: int) -> list[MoveInstance]:
 
 
 def commute_pair(e1: FrontEvent, e2: FrontEvent) -> Optional[tuple[FrontEvent, FrontEvent]]:
-    """Swap two adjacent events with disjoint footprints.
+    """Swap two adjacent events with disjoint footprints, or return ``None``.
 
-    Returns the pair in swapped order with positions adjusted, or ``None``
-    when the events interact.  Involution: applying it to the result gives
-    back ``(e1, e2)``.
+    Between the two events ``e1`` holds the strands ``[p, p+left1)`` and
+    ``e2`` takes ``[q, q+taken2)`` (``FOOTPRINT``; an empty range is the gap
+    above its strand).  They interact iff ``q < p+left1 and p < q+taken2``.
+    Otherwise the upper event keeps its position and the lower one moves by
+    the other's strand-count change: ``e2`` below becomes ``q - change1``,
+    ``e1`` below becomes ``p + change2``, and of two gaps at one height,
+    ``(R p, L p)``, ``e2`` is below.  Involution: applying it to the result
+    gives back ``(e1, e2)``.
 
     One disjoint pair is refused to keep that involution: a birth directly
-    below a merge, ``(L p, R p+2)``.  Its swapped form ``(R p, L p)`` is
+    above a merge, ``(L p, R p+2)``.  Its swapped form ``(R p, L p)`` is
     ambiguous -- both ``(L p, R p+2)`` and ``(L p+2, R p)`` describe it --
     and a function can honour only one of the two round trips.  We keep
     ``(L p+2, R p) <-> (R p, L p)`` and treat the other form as interacting.
     """
     p, q = e1.pos, e2.pos
-    d2 = STRAND_CHANGE[e2.kind]
-    if e1.kind is L:
-        if e2.kind is L:
-            if q == p + 1:
-                return None
-            if q <= p:
-                return FrontEvent(L, q), FrontEvent(L, p + 2)
-            return FrontEvent(L, q - 2), FrontEvent(L, p)
-        if q in (p - 1, p, p + 1):
-            return None
-        if e2.kind is R and q == p + 2:
-            return None
-        if q >= p + 2:
-            return FrontEvent(e2.kind, q - 2), FrontEvent(L, p)
-        return FrontEvent(e2.kind, q), FrontEvent(L, p + d2)
-    if e1.kind is X:
-        if e2.kind is L:
-            if q == p + 1:
-                return None
-            if q <= p:
-                return FrontEvent(L, q), FrontEvent(X, p + 2)
-            return FrontEvent(L, q), FrontEvent(X, p)
-        if abs(q - p) <= 1:
-            return None
-        if q >= p + 2:
-            return FrontEvent(e2.kind, q), FrontEvent(X, p)
-        return FrontEvent(e2.kind, q), FrontEvent(X, p + d2)
-    # e1 is a right cusp
-    if e2.kind is L:
-        if q <= p - 1:
-            return FrontEvent(L, q), FrontEvent(R, p + 2)
-        return FrontEvent(L, q + 2), FrontEvent(R, p)
-    if q == p - 1:
+    taken1, left1 = FOOTPRINT[e1.kind]
+    taken2, left2 = FOOTPRINT[e2.kind]
+    if (q < p + left1 and p < q + taken2) or (e1.kind is L and e2.kind is R and q == p + 2):
         return None
-    if q <= p - 2:
-        return FrontEvent(e2.kind, q), FrontEvent(R, p + d2)
-    return FrontEvent(e2.kind, q + 2), FrontEvent(R, p)
+    if q >= p + left1:
+        return FrontEvent(e2.kind, q - (left1 - taken1)), e1
+    return e2, FrontEvent(e1.kind, p + (left2 - taken2))
 
 
 def apply_move_word(events: Word, move: MoveInstance) -> Word:
@@ -363,7 +333,7 @@ def replay_moves(events: Word, moves: Iterable[MoveInstance]) -> Word:
 def applicable_moves(diagram: FrontDiagram) -> list[MoveInstance]:
     """Every move instance whose pattern matches the diagram's word, sorted."""
     events = diagram.events
-    counts = _strand_counts(events)
+    counts = diagram._structure.counts
     found: list[MoveInstance] = []
     for i in range(len(events) + 1):
         found += _moves_at(events, i, counts[i])

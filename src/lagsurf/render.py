@@ -10,7 +10,7 @@ identical input gives byte-identical output.
 
 from __future__ import annotations
 
-from .fronts import STRAND_CHANGE, EventKind, FrontDiagram
+from .fronts import FOOTPRINT, EventKind, FrontDiagram
 
 L, R = EventKind.LEFT_CUSP, EventKind.RIGHT_CUSP
 
@@ -55,15 +55,14 @@ def render_svg(diagram: FrontDiagram) -> str:
         )
 
     shapes: list[str] = []
-    strands = 0
-    for index, event in enumerate(events):
+    for index, (event, strands) in enumerate(zip(events, diagram._structure.counts)):
         x0, x1 = xat(index), xat(index + 1)
-        p, change = event.pos, STRAND_CHANGE[event.kind]
-        # every strand but the event's own runs through, shifted below it
-        own = () if event.kind is L else (p, p + 1)
+        p, (taken, left) = event.pos, FOOTPRINT[event.kind]
+        # every strand but the event's own, the ones it takes, runs through,
+        # shifted below it
         for q in range(1, strands + 1):
-            if q not in own:
-                shapes.append(line(x0, yat(q), x1, yat(q if q < p else q + change)))
+            if not p <= q < p + taken:
+                shapes.append(line(x0, yat(q), x1, yat(q if q < p else q + left - taken)))
         if event.kind is L:
             shapes.append(tip(x1, x0 + 0.2 * _COLUMN_WIDTH, p))
         elif event.kind is R:
@@ -77,7 +76,6 @@ def render_svg(diagram: FrontDiagram) -> str:
             shapes.append(line(x0 + (0.5 + half) * _COLUMN_WIDTH,
                                ya + (0.5 + half) * (yb - ya), x1, yb))
             shapes.append(line(x0, yb, x1, ya))
-        strands += change
 
     body = "\n".join(f"  {shape}" for shape in shapes)
     title = diagram.notation() or "(empty)"

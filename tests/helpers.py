@@ -202,6 +202,81 @@ _R1_WINDOWS = {
 }
 
 
+def reference_commute_pair(
+    e1: FrontEvent, e2: FrontEvent
+) -> tuple[FrontEvent, FrontEvent] | None:
+    """``moves.commute_pair`` written out case by case, one branch per kind pair."""
+    p, q = e1.pos, e2.pos
+    d2 = {L: 2, X: 0, R: -2}[e2.kind]
+    if e1.kind is L:
+        if e2.kind is L:
+            if q == p + 1:
+                return None
+            if q <= p:
+                return FrontEvent(L, q), FrontEvent(L, p + 2)
+            return FrontEvent(L, q - 2), FrontEvent(L, p)
+        if q in (p - 1, p, p + 1):
+            return None
+        if e2.kind is R and q == p + 2:
+            return None
+        if q >= p + 2:
+            return FrontEvent(e2.kind, q - 2), FrontEvent(L, p)
+        return FrontEvent(e2.kind, q), FrontEvent(L, p + d2)
+    if e1.kind is X:
+        if e2.kind is L:
+            if q == p + 1:
+                return None
+            if q <= p:
+                return FrontEvent(L, q), FrontEvent(X, p + 2)
+            return FrontEvent(L, q), FrontEvent(X, p)
+        if abs(q - p) <= 1:
+            return None
+        if q >= p + 2:
+            return FrontEvent(e2.kind, q), FrontEvent(X, p)
+        return FrontEvent(e2.kind, q), FrontEvent(X, p + d2)
+    # e1 is a right cusp
+    if e2.kind is L:
+        if q <= p - 1:
+            return FrontEvent(L, q), FrontEvent(R, p + 2)
+        return FrontEvent(L, q + 2), FrontEvent(R, p)
+    if q == p - 1:
+        return None
+    if q <= p - 2:
+        return FrontEvent(e2.kind, q), FrontEvent(R, p + d2)
+    return FrontEvent(e2.kind, q + 2), FrontEvent(R, p)
+
+
+def run_on_labelled_strands(
+    pairs: tuple[tuple[FrontEvent, str], ...], strands: int
+) -> tuple[list, dict, dict] | None:
+    """Run events on a stack of labelled strands, or ``None`` if one is out of range.
+
+    ``pairs`` holds each event with a name; a birth's two strands are
+    labelled ``(name, 0)`` and ``(name, 1)``, the given strands ``1..strands``.
+    Returns the final stack and, per event name, the (upper, lower) strands
+    each crossing swapped and each merge joined.
+    """
+    stack: list = list(range(1, strands + 1))
+    crossed, merged = {}, {}
+    for ev, name in pairs:
+        p = ev.pos
+        if ev.kind is L:
+            if not 1 <= p <= len(stack) + 1:
+                return None
+            stack[p - 1 : p - 1] = [(name, 0), (name, 1)]
+            continue
+        if not 1 <= p < len(stack):
+            return None
+        pair = stack[p - 1], stack[p]
+        if ev.kind is X:
+            crossed[name] = pair
+            stack[p - 1 : p + 1] = pair[::-1]
+        else:
+            merged[name] = pair
+            del stack[p - 1 : p + 1]
+    return stack, crossed, merged
+
+
 def _events(*pairs: tuple[EventKind, int]) -> Word:
     return tuple(FrontEvent(kind, pos) for kind, pos in pairs)
 

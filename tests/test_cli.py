@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import os
 import pathlib
 import re
@@ -256,10 +258,13 @@ _SCRIPTS = st.builds(
 
 
 def run_quietly(*argv):
-    """``main(argv)`` with its output captured, for use under ``@given``."""
+    """``main(argv)`` with its output captured and a usage exit as its code, for ``@given``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as done:
+            code = done.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -308,6 +313,54 @@ def test_front_verbs_keep_the_cli_contract(tmp_path_factory, lines, move):
     for argv in (["front", "stats", str(path)], ["moves", "apply", str(path), move]):
         code, _, err = run_quietly(*argv)
         assert_contract(code, err)
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_CORPUS_FILES = sorted(str(path) for path in CORPUS.glob("*.front"))
+_FLOATS = st.one_of(st.sampled_from([0.0, math.inf, 1e308]), st.floats())
+_ARGVS = st.one_of(
+    st.builds(
+        lambda chi, euler, flags: ["classify", "--chi", str(chi), "--euler", str(euler), *flags],
+        st.one_of(st.integers(2 * lagsurf.cli._TABLE_MIN_CHI, 4), _INT64),
+        st.one_of(st.integers(-8, 8), _INT64),
+        st.sampled_from([[], ["--orientable"], ["--format", "json"]]),
+    ),
+    st.builds(
+        lambda chi: ["table", "--min-chi", str(chi)],
+        st.one_of(st.integers(-40, 0), st.integers(-(2**63), 2 * lagsurf.cli._TABLE_MIN_CHI)),
+    ),
+    st.builds(
+        lambda first, second, depth: ["moves", "equiv", first, second, "--depth", str(depth)],
+        st.sampled_from(_CORPUS_FILES),
+        st.sampled_from(_CORPUS_FILES),
+        st.integers(0, 3),
+    ),
+    st.builds(
+        lambda family, options: ["verify", family, *itertools.chain(*options.items())],
+        st.sampled_from(["strip", "cone", "umbrella", "curve", "convergence"]),
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "--a": _FLOATS.map(str),
+                "--grid": st.integers(-(2**63), 16).map(str),
+                "--step": _FLOATS.map(str),
+                "--tolerance": _FLOATS.map(str),
+            },
+        ),
+    ),
+)
+
+
+@settings(max_examples=150)
+@given(argv=_ARGVS)
+def test_argv_keeps_the_cli_contract(argv):
+    # in-process and bounded: every chi the CLI takes is at least -2000
+    code, _, err = run_quietly(*argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) <= 1
+    assert code or not errors
 
 
 def test_classify_spotlights(capsys):
@@ -414,6 +467,36 @@ def test_table_min_chi_below_the_floor_is_a_usage_error():
         assert done.stderr.splitlines()[-1] == (
             f"lagsurf table: error: argument --min-chi: must be at least -2000, got {value}"
         )
+
+
+def test_classify_chi_below_the_floor_is_a_usage_error():
+    # the classifier's sets grow linearly in chi: 67 MiB at -10^6
+    assert _parser().parse_args(["classify", "--chi", "-2000", "--euler", "0"]).chi == -2000
+    for value in ("-2001", str(-(2**63))):
+        code, out, err = run_quietly("classify", "--chi", value, "--euler", "0")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"lagsurf classify: error: argument --chi: must be at least -2000, got {value}"
+        )
+
+
+def test_genus_at_the_lowest_chi_builds():
+    assert run_surface_script("genus 1001\n").chi == -2000
+
+
+@pytest.mark.parametrize("genus", [1002, 10**18])
+def test_genus_below_the_lowest_chi_fails_before_building(capsys, monkeypatch, tmp_path, genus):
+    # a genus chain holds 2 genus - 2 cone points, so none is built
+    verbs = lagsurf.cli._script_verbs()
+    monkeypatch.setitem(verbs, "genus", (None, verbs["genus"][1]))
+    script = tmp_path / "genus.surf"
+    script.write_text(f"genus {genus}\n")
+    code, out, err = run(capsys, "surface", "euler", str(script))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: script line 1: genus {genus} has chi {2 - 2 * genus}, "
+        "below the lowest chi -2000\n"
+    )
 
 
 def test_table_json_below_its_floor_is_a_usage_error(capsys):

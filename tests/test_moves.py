@@ -10,7 +10,7 @@ from hypothesis import given
 import helpers
 import lagsurf.moves
 from lagsurf.dsl import parse_front
-from lagsurf.fronts import FrontDiagram, FrontError, word
+from lagsurf.fronts import EventKind, FrontDiagram, FrontError, FrontEvent, word
 from lagsurf.moves import (
     BACKWARD,
     FORWARD,
@@ -160,6 +160,53 @@ def test_commute_involution(events):
             continue
         back = commute_pair(*swapped)
         assert back == (events[i], events[i + 1])
+
+
+def test_commute_pair_matches_the_case_by_case_reference():
+    pairs = [
+        (FrontEvent(k1, p), FrontEvent(k2, q))
+        for k1, k2 in itertools.product(EventKind, repeat=2)
+        for p, q in itertools.product(range(1, 17), repeat=2)
+    ]
+    assert len(pairs) == 2304
+    for e1, e2 in pairs:
+        assert commute_pair(e1, e2) == helpers.reference_commute_pair(e1, e2), (e1, e2)
+
+
+def test_slides_keep_every_strand_history():
+    """Both orders of a slid pair act alike on labelled strands.
+
+    Every pair of events valid after at most six strands is run both ways:
+    a slide leaves the same final stack and has each crossing and each merge
+    act on the same strands.  Of the pairs ``commute_pair`` refuses, only
+    ``(L p, R p+2)`` has an order-swapped form that does the same, the
+    ``(R p, L p)`` its docstring keeps for ``(L p+2, R p)``.
+    """
+    run = helpers.run_on_labelled_strands
+    slid = refused = 0
+    for n in range(7):
+        positions = range(1, n + 4)
+        for k1, k2 in itertools.product(EventKind, repeat=2):
+            for p, q in itertools.product(positions, repeat=2):
+                e1, e2 = FrontEvent(k1, p), FrontEvent(k2, q)
+                done = run(((e1, "first"), (e2, "second")), n)
+                if done is None:
+                    continue
+                swapped = commute_pair(e1, e2)
+                if swapped is not None:
+                    assert run(((swapped[0], "second"), (swapped[1], "first")), n) == done
+                    slid += 1
+                    continue
+                alike = [
+                    (a, b)
+                    for a, b in itertools.product(positions, repeat=2)
+                    if run(((FrontEvent(k2, a), "second"), (FrontEvent(k1, b), "first")), n)
+                    == done
+                ]
+                birth_above_merge = (k1.value, k2.value, q) == ("L", "R", p + 2)
+                assert alike == ([(p, p)] if birth_above_merge else []), (e1, e2)
+                refused += 1
+    assert slid and refused
 
 
 @given(helpers.front_words(max_events=10))
