@@ -31,10 +31,15 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _emit_json(payload: dict) -> None:
+def _json_text(payload: dict) -> str:
+    """The payload with ``"schema": 1``, indented and with sorted keys."""
     import json
 
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    return json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _emit_json(payload: dict) -> None:
+    print(_json_text(payload))
 
 
 def _load_diagram(path: str) -> tuple[str, FrontDiagram]:
@@ -48,14 +53,11 @@ def _load_diagram(path: str) -> tuple[str, FrontDiagram]:
 
 
 def _front_stats(args) -> int:
-    from .fronts import EventKind
-
     name, diagram = _load_diagram(args.file)
     # every event that is not a crossing is a cusp
-    crossings = sum(event.kind is EventKind.CROSSING for event in diagram.events)
+    crossings = len(diagram._structure.crossings)
     _emit_json(
         {
-            "schema": 1,
             "name": name,
             "notation": diagram.notation(),
             "components": diagram.component_count,
@@ -245,7 +247,6 @@ def _surface_payload(surface: SurfaceComplex) -> dict:
     from .surfaces import euler_number
 
     return {
-        "schema": 1,
         "chi": surface.chi,
         "orientable": surface.orientable,
         "closed": surface.is_closed,
@@ -294,7 +295,6 @@ def _classify(args) -> int:
     if args.format == "json":
         _emit_json(
             {
-                "schema": 1,
                 "chi": chi,
                 "euler": e,
                 "orientable": orientable,
@@ -314,7 +314,7 @@ def _classify(args) -> int:
 def _write_table_json(graph) -> None:
     """Print the table payload as ``_emit_json`` would, without encoding it.
 
-    The header is the payload with no witnesses, through ``json``; each
+    The header is the payload with no witnesses, through ``_json_text``; each
     witness is then written as its fixed indented block, rows in order of
     decreasing chi and each row by increasing Euler number.
     """
@@ -324,11 +324,7 @@ def _write_table_json(graph) -> None:
         {"chi": chi, "euler": list(graph.row(chi))}
         for chi in range(0, graph.min_chi - 1, -1)
     ]
-    header = json.dumps(
-        {"schema": 1, "min_chi": graph.min_chi, "rows": rows, "witnesses": []},
-        indent=2,
-        sort_keys=True,
-    )
+    header = _json_text({"min_chi": graph.min_chi, "rows": rows, "witnesses": []})
     lines = {rule: ",\n        " + json.dumps(line) for rule, line in _RULE_LINES.items()}
     scripts = graph.fold('        "klein"', lambda script, rule: script + lines[rule])
     write = sys.stdout.write
@@ -371,6 +367,8 @@ def _table(args) -> int:
 
 
 def _table_check(args) -> int:
+    if args.format is not None:
+        args.usage_error("--format does not apply to --check")
     from .table import verify_closure
 
     report = verify_closure(args.min_chi)
@@ -413,7 +411,7 @@ def _write_csv(path: str, params: Sequence[str], rows) -> None:
 
 
 def _verify_options(args) -> None:
-    """Fill in the defaults; a usage error if an option given goes unread."""
+    """Fill in the defaults; a usage error for an unread option or a bad tolerance."""
     for option, default in _VERIFY_DEFAULTS.items():
         if getattr(args, option) is None:
             setattr(args, option, default)
@@ -421,6 +419,8 @@ def _verify_options(args) -> None:
             *others, last = (f for f, reads in _VERIFY_READS.items() if option in reads)
             families = f"{', '.join(others)} and {last}" if others else last
             args.usage_error(f"--{option} applies to {families} only")
+    if not 0 <= args.tolerance < math.inf:
+        args.usage_error(f"--tolerance must be finite and at least 0, got {args.tolerance}")
 
 
 def _verify(args) -> int:
@@ -496,8 +496,7 @@ def _verify(args) -> int:
 
     reports = [_report_dict(check, report) for check, report in checks]
     passed = extra_ok and all(r["passed"] for r in reports)
-    _emit_json({"schema": 1, "family": args.family, "passed": passed, **extra,
-                "reports": reports})
+    _emit_json({"family": args.family, "passed": passed, **extra, "reports": reports})
     return 0 if passed else 1
 
 
@@ -573,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-chi", type=_int_at_least(_TABLE_MIN_CHI), default=-5,
                    help=f"lowest chi level, at least {_TABLE_MIN_CHI}; the closure "
                    "holds about 0.38*chi^2 nodes, 1,504,001 there (default -5)")
-    p.add_argument("--format", choices=("text", "json"), default="text",
+    p.add_argument("--format", choices=("text", "json"),
                    help=f"json needs --min-chi at least {_TABLE_JSON_MIN_CHI}: its witness "
                    "scripts grow as chi^3, 300 MB there (default text)")
     p.add_argument("--check", action="store_true",

@@ -16,11 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .fronts import EventKind, FrontDiagram, FrontError, FrontEvent
+from .fronts import BY_LETTER, FrontDiagram, FrontError, FrontEvent
 
 _TOKEN = re.compile(r"\S+")
 _NAME = re.compile(r"[A-Za-z0-9_.\-]+\Z")
-_KINDS = {"L": EventKind.LEFT_CUSP, "X": EventKind.CROSSING, "R": EventKind.RIGHT_CUSP}
 
 
 class FrontSyntaxError(ValueError):
@@ -104,13 +103,13 @@ def parse_front(text: str) -> FrontDocument:
             name, saw_header = token, True
             continue
 
-        if head in _KINDS:
+        if head in BY_LETTER:
             if len(tokens) != 2:
                 where = tokens[2][1] if len(tokens) > 2 else col + len(head)
                 found = tokens[2][0] if len(tokens) > 2 else ""
                 raise FrontSyntaxError(lineno, where, "a single strand position", found)
             pos = _parse_position(tokens[1][0], lineno, tokens[1][1])
-            events.append(FrontEvent(_KINDS[head], pos))
+            events.append(FrontEvent(BY_LETTER[head], pos))
             saw_body = True
             continue
 

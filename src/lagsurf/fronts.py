@@ -35,13 +35,19 @@ strands ``p .. p+taken-1`` off the stack and leaves ``left`` strands at
 after ``n`` strands iff ``1 <= p <= n + 1 - taken``, and it changes the count
 by ``left - taken`` (``STRAND_CHANGE``); one that would leave a negative count
 is reported as such before its position is checked.
+
+Kind tables, each stated once here: ``L``, ``X``, ``R`` name the kinds,
+whose values are their letters, and ``BY_LETTER`` finds a kind by its
+letter; ``KINDS`` lists the kinds in the order of their letters,
+``L < R < X``, which is the order of :class:`FrontEvent`; ``MIRROR``
+exchanges the cusps, as a left-right flip does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
 class EventKind(str, Enum):
@@ -55,10 +61,16 @@ class EventKind(str, Enum):
         return self.value
 
 
+L, X, R = EventKind.LEFT_CUSP, EventKind.CROSSING, EventKind.RIGHT_CUSP
+# The kinds in the order of their letters, which is the order of FrontEvent.
+KINDS = tuple(sorted(EventKind))
+BY_LETTER = {kind.value: kind for kind in KINDS}
 # Per kind, the strands an event takes off the stack and leaves there.
-FOOTPRINT = {EventKind.LEFT_CUSP: (0, 2), EventKind.CROSSING: (2, 2), EventKind.RIGHT_CUSP: (2, 0)}
+FOOTPRINT = {L: (0, 2), X: (2, 2), R: (2, 0)}
 # The change in the strand count across an event of each kind.
 STRAND_CHANGE = {kind: left - taken for kind, (taken, left) in FOOTPRINT.items()}
+# The kind each kind becomes when the diagram is flipped left to right.
+MIRROR = {L: R, X: X, R: L}
 
 
 @dataclass(frozen=True, order=True)
@@ -72,20 +84,17 @@ class FrontEvent:
         return f"{self.kind.value}{self.pos}"
 
 
-def word(text: str | Iterable[FrontEvent]) -> tuple[FrontEvent, ...]:
+def word(text: str) -> tuple[FrontEvent, ...]:
     """Parse a compact event word such as ``"L1 L2 X1 R2 R1"``.
 
-    Commas count as whitespace.  A sequence of events passes through
-    unchanged, so callers can accept either form.
+    Commas count as whitespace.
     """
-    if not isinstance(text, str):
-        return tuple(text)
     out = []
     for token in text.replace(",", " ").split():
-        head, tail = token[:1], token[1:]
-        if head not in ("L", "X", "R") or not tail.isdigit():
+        kind, tail = BY_LETTER.get(token[:1]), token[1:]
+        if kind is None or not tail.isdigit():
             raise ValueError(f"bad event token {token!r}")
-        out.append(FrontEvent(EventKind(head), int(tail)))
+        out.append(FrontEvent(kind, int(tail)))
     return tuple(out)
 
 
@@ -160,9 +169,6 @@ class CrossingInfo:
     sign: int
 
 
-_LEFT, _CROSSING = EventKind.LEFT_CUSP, EventKind.CROSSING
-
-
 def _linking(pairs: list[list[int]], i: int, j: int) -> int:
     """lk(i, j): half the signed sum of the crossings between components i and j."""
     total = pairs[min(i, j)][max(i, j)]
@@ -200,13 +206,13 @@ class _Structure:
                 raise NegativeStrandCount(i, ev, n)
             if not 1 <= pos <= n + 1 - taken:
                 raise PositionOutOfRange(i, ev, n)
-            if kind is _LEFT:
+            if kind is L:
                 u = len(births)
                 births += (len(cusps), len(cusps))
                 deaths += (-1, -1)
                 active[pos - 1 : pos - 1] = (u, u + 1)
                 cusps.append((i, kind, u, u + 1))
-            elif kind is _CROSSING:
+            elif kind is X:
                 a, b = active[pos - 1], active[pos]
                 crossings.append((i, a, b))
                 active[pos - 1], active[pos] = b, a
@@ -312,9 +318,7 @@ class FrontDiagram:
         return diagram
 
     @classmethod
-    def from_word(
-        cls, text: str | Iterable[FrontEvent], orientations: Sequence[int] | None = None
-    ) -> "FrontDiagram":
+    def from_word(cls, text: str, orientations: Sequence[int] | None = None) -> "FrontDiagram":
         return cls(word(text), None if orientations is None else tuple(orientations))
 
     # -- presentation --------------------------------------------------
@@ -482,18 +486,11 @@ class FrontDiagram:
         kept, and every arc's horizontal direction reverses.  With the
         pushed-forward orientation both tb and rot are preserved.  Involution.
         """
-        flipped = {
-            EventKind.LEFT_CUSP: EventKind.RIGHT_CUSP,
-            EventKind.RIGHT_CUSP: EventKind.LEFT_CUSP,
-            EventKind.CROSSING: EventKind.CROSSING,
-        }
-        out = tuple(
-            FrontEvent(flipped[ev.kind], ev.pos) for ev in reversed(self.events)
-        )
+        out = tuple(FrontEvent(MIRROR[ev.kind], ev.pos) for ev in reversed(self.events))
         # the mirror's k-th left cusp, born with arcs 2k (upper) and 2k + 1,
         # is the k-th right cusp from the end here, at the same heights, and
         # horizontal directions reverse
-        deaths = [c[2:] for c in self._structure.cusps if c[1] is EventKind.RIGHT_CUSP]
+        deaths = [c[2:] for c in self._structure.cusps if c[1] is R]
         return self._pushed_forward(
             FrontDiagram(out), lambda a: deaths[-1 - a // 2][a & 1], -1
         )
@@ -519,13 +516,13 @@ class FrontDiagram:
             return pos - sum(1 for a in active[: pos - 1] if a in doomed)
 
         for ev in self.events:
-            if ev.kind is EventKind.LEFT_CUSP:
+            if ev.kind is L:
                 u = next_arc
                 next_arc += 2
                 if u not in doomed:
                     out.append(FrontEvent(ev.kind, kept_position(ev.pos)))
                 active[ev.pos - 1 : ev.pos - 1] = [u, u + 1]
-            elif ev.kind is EventKind.CROSSING:
+            elif ev.kind is X:
                 a, b = active[ev.pos - 1], active[ev.pos]
                 if a not in doomed and b not in doomed:
                     out.append(FrontEvent(ev.kind, kept_position(ev.pos)))

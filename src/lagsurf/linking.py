@@ -509,7 +509,8 @@ def tangent_winding(curve: np.ndarray) -> int:
         raise TangentDegenerate("sampled tangent vanishes")
     (z1, z2), (t1, t2) = _split(curve), _split(tangent)
     frame = z1 * t2 - z2 * t1
-    if float(np.min(np.abs(frame))) < 1e-9 * float(np.max(np.abs(frame))):
+    # not >, so that a frame that is zero everywhere (a Reeb orbit) is refused
+    if not float(np.min(np.abs(frame))) > 1e-9 * float(np.max(np.abs(frame))):
         raise TangentDegenerate("tangent leaves the contact plane frame")
     angles = np.angle(frame)
     steps = np.diff(np.concatenate([angles, angles[:1]]))

@@ -54,8 +54,8 @@ Internal coding
 ---------------
 
 Slide computations run on words coded as tuples of ints, one
-``rank(kind) << 32 | (pos + 2**31)`` per event, with ranks ``L < R < X``
-as the kinds' string values compare.  For positions of magnitude below
+``rank(kind) << 32 | (pos + 2**31)`` per event, where a kind's rank is its
+index in :data:`lagsurf.fronts.KINDS`.  For positions of magnitude below
 ``2**31`` the code is strictly monotone in ``(kind, pos)``, so coded words
 sort and take minima exactly as :class:`FrontEvent` words do.  Slides on
 codes come from a memo of :func:`commute_pair`, the one definition of a
@@ -101,15 +101,17 @@ from typing import Iterable, Optional
 
 from lagsurf.fronts import (
     FOOTPRINT,
+    KINDS,
     STRAND_CHANGE,
     EventKind,
     FrontDiagram,
     FrontError,
     FrontEvent,
+    L,
+    R,
+    X,
     _Structure,
 )
-
-L, X, R = EventKind.LEFT_CUSP, EventKind.CROSSING, EventKind.RIGHT_CUSP
 
 Word = tuple[FrontEvent, ...]
 
@@ -350,8 +352,7 @@ def applicable_moves(diagram: FrontDiagram) -> list[MoveInstance]:
 
 # Event codes (see "Internal coding" above): rank << 32 | (pos + _POS_BIAS).
 Coded = tuple[int, ...]
-_RANK = {L: 0, R: 1, X: 2}
-_KINDS = (L, R, X)
+_RANK = {kind: rank for rank, kind in enumerate(KINDS)}
 _POS_BIAS = 1 << 31
 _POS_MASK = (1 << 32) - 1
 # Bounds the memos below: distinct codes grow with the largest strand position
@@ -371,7 +372,7 @@ def _encode(events: Iterable[FrontEvent]) -> Coded:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _decode_event(code: int) -> FrontEvent:
-    return FrontEvent(_KINDS[code >> 32], (code & _POS_MASK) - _POS_BIAS)
+    return FrontEvent(KINDS[code >> 32], (code & _POS_MASK) - _POS_BIAS)
 
 
 def _decode(codes: Coded) -> Word:
@@ -676,13 +677,13 @@ def _expansion(codes: Coded) -> list[tuple[Coded, MoveInstance]]:
             one = mask | 1 << first
             windows.add(head_key + (first_code,) + rest_keys[one])
             for middle, middle_code in ideals[one][1]:
-                if _KINDS[middle_code >> 32] is not X:
+                if KINDS[middle_code >> 32] is not X:
                     continue
                 two = one | 1 << middle
                 for last, last_code in ideals[two][1]:
                     window = (first_code, middle_code, last_code)
                     windows.add(head_key + window + rest_keys[two | 1 << last])
-        strands = sum(STRAND_CHANGE[_KINDS[code >> 32]] for code in prefix)
+        strands = sum(STRAND_CHANGE[KINDS[code >> 32]] for code in prefix)
         for concrete in windows:
             pairs += [(concrete, m) for m in _moves_at(_decode(concrete), len(prefix), strands)]
     return sorted(pairs)

@@ -10,9 +10,7 @@ identical input gives byte-identical output.
 
 from __future__ import annotations
 
-from .fronts import FOOTPRINT, EventKind, FrontDiagram
-
-L, R = EventKind.LEFT_CUSP, EventKind.RIGHT_CUSP
+from .fronts import FOOTPRINT, FrontDiagram, L, R
 
 _COLUMN_WIDTH = 48.0
 _TRACK_HEIGHT = 28.0

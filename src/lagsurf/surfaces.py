@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .classify import check_closed_surface
-from .fronts import FrontDiagram, FrontError
+from .fronts import FrontDiagram, FrontError, L, R
 from .moves import MoveInstance, align_facing_cusps, replay_moves
 
 
@@ -235,10 +235,9 @@ def one_handle(s: SurfaceComplex, cusp_a: int, cusp_b: int) -> SurfaceComplex:
     for index in (cusp_a, cusp_b):
         if not 0 <= index < len(events):
             raise CuspsNotInwardFacing(f"no event {index}")
-    kinds = {events[cusp_a].kind.value, events[cusp_b].kind.value}
-    if kinds != {"L", "R"}:
+    if {events[cusp_a].kind, events[cusp_b].kind} != {L, R}:
         raise CuspsNotInwardFacing("need one merge cusp and one birth cusp")
-    if events[cusp_a].kind.value == "R":
+    if events[cusp_a].kind is R:
         right_index, left_index = cusp_a, cusp_b
     else:
         right_index, left_index = cusp_b, cusp_a

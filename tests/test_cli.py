@@ -209,6 +209,7 @@ def test_surface_script_rejections(capsys, tmp_path, lines):
     [
         ("klein\nsplit 99\n", "script line 2: no cone point 99"),
         ("klein\nsplit -1\n", "script line 2: no cone point -1"),
+        ("klein\nsplit x\n", "script line 2: expected an integer, got 'x'"),
         ("klein\nmark 99\n", "script line 2: no cone point 99"),
         ("klein\nmark -1\n", "script line 2: no cone point -1"),
         ("klein\ncap 5 L1 R1\n", "script line 2: no boundary component 5"),
@@ -514,9 +515,21 @@ def test_table_json_below_its_floor_is_a_usage_error(capsys):
     code, out, _ = run(capsys, "table", "--min-chi", "-401")
     assert code == 0
     assert out.splitlines()[-1].startswith("chi -401: -806 -802 ")
-    code, out, _ = run(capsys, "table", "--check", "--format", "json", "--min-chi", "-401")
+    code, out, _ = run(capsys, "table", "--check", "--min-chi", "-401")
     assert code == 0
     assert out.startswith("closure verified to chi -401: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_table_check_reads_no_format(capsys, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--check", "--format", fmt, "--min-chi", "-3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "lagsurf table: error: --format does not apply to --check"
+    ]
 
 
 def test_witness_script_matches_graph():
@@ -572,8 +585,6 @@ def test_verify_rejects_bad_parameter(capsys):
     "argv",
     [
         ["strip", "--step", "nan"],
-        ["strip", "--tolerance", "nan"],
-        ["curve", "--tolerance", "inf"],
         # finite, but the differences overflow and the residual is NaN
         ["umbrella", "--step", "1e308"],
     ],
@@ -584,6 +595,23 @@ def test_verify_never_prints_non_standard_json(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["strip", "--tolerance", "nan"], ["curve", "--tolerance", "inf"], ["cone", "--tolerance", "-1"]],
+    ids=["nan", "inf", "negative"],
+)
+def test_verify_tolerance_must_be_finite_and_at_least_zero(capsys, argv):
+    # a usage error, raised before any check runs
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"lagsurf verify: error: --tolerance must be finite and at least 0, got {float(argv[2])}"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,10 @@ from hypothesis import given
 
 import helpers
 from lagsurf.fronts import (
+    BY_LETTER,
+    FOOTPRINT,
+    KINDS,
+    MIRROR,
     EventKind,
     FrontDiagram,
     FrontEvent,
@@ -86,6 +90,26 @@ def test_odd_inter_component_crossing_sum_raises(monkeypatch):
 def test_linking_number_rejects_missing_components(text, i, j):
     with pytest.raises(IndexError, match="no component"):
         FrontDiagram.from_word(text).linking_number(i, j)
+
+
+def test_linking_number_needs_two_components():
+    with pytest.raises(ValueError, match="two distinct components"):
+        FrontDiagram.from_word("L1 L2 X1 X3 R2 R1").linking_number(0, 0)
+
+
+def test_events_must_be_front_events():
+    with pytest.raises(TypeError, match="not a FrontEvent"):
+        FrontDiagram((("L", 1),))
+
+
+def test_kind_tables_agree():
+    # kinds hash as their letters, so set and dict orders follow the letters
+    assert [(kind.value, hash(kind)) for kind in KINDS] == [(c, hash(c)) for c in "LRX"]
+    assert all(BY_LETTER[kind.value] is kind for kind in EventKind)
+    # a left-right flip exchanges the strands an event takes and leaves
+    for kind in KINDS:
+        assert MIRROR[MIRROR[kind]] is kind
+        assert FOOTPRINT[MIRROR[kind]] == FOOTPRINT[kind][::-1]
 
 
 def _every_orientation(d: FrontDiagram):

@@ -77,6 +77,16 @@ def test_oblique_fibres_link_plus_one():
     assert linking_number(fiber(0.6, 0.8j), fiber(1.0, 0.0)) == 1
 
 
+def test_far_apart_small_circles_do_not_link():
+    # no (x, y) boxes of the two views meet, so no segment pair is examined
+    r = 0.1
+    h = math.sqrt(1 - r * r)
+    first = np.stack([np.full(N, h), r * np.cos(S), r * np.sin(S), np.zeros(N)], axis=1)
+    second = np.stack([np.full(N, -h), r * np.cos(S), np.zeros(N), r * np.sin(S)], axis=1)
+    assert linking_number(first, second) == 0
+    assert gauss_linking(first, second) == pytest.approx(0.0, abs=1e-6)
+
+
 def test_gauss_route_agrees_on_the_anchor():
     value = gauss_linking(fiber(1.0, 0.0), fiber(0.0, 1.0))
     assert value == pytest.approx(1.0, abs=0.05)
@@ -116,6 +126,17 @@ def test_tangent_winding_values():
     assert tangent_winding(flat_circle()) == 0
     assert tangent_winding(boundary_curve(S)) == 1
     assert tangent_winding(boundary_curve(S)[::-1].copy()) == -1
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+def test_circle_action_fibres_have_no_tangent_winding(n):
+    # an orbit of the circle action runs along the Reeb field, so its tangent
+    # has no part in the contact plane frame; on the coordinate fibres the
+    # frame scalar is exactly zero
+    phase = np.exp(1j * np.linspace(0.0, 2 * math.pi, n, endpoint=False))
+    for z1, z2 in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
+        with pytest.raises(TangentDegenerate):
+            tangent_winding(pack(phase * z1, phase * z2))
 
 
 def test_winding_stable_under_refinement():
@@ -248,10 +269,11 @@ def test_oracles_take_other_real_dtypes():
     first, second = (curve.astype(np.float32) for curve in sample_pairs(N)["hopf"])
     assert linking_number(first, second) == 1
     assert gauss_linking(first, second) == reference_tiled_gauss_linking(first, second)
-    # integer samples: four points on each of two circle-action fibres
+    # integer samples: four points on the flat circle, and on each of two
+    # circle-action fibres
     axes = np.eye(4, dtype=int)
+    assert tangent_winding(np.array([axes[0], axes[2], -axes[0], -axes[2]])) == 0
     first = np.array([axes[0], axes[1], -axes[0], -axes[1]])
-    assert tangent_winding(first) == -1
     assert linking_number(first, np.array([axes[2], axes[3], -axes[2], -axes[3]])) == 1
 
 
