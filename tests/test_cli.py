@@ -585,7 +585,9 @@ def test_verify_rejects_bad_parameter(capsys):
     "argv",
     [
         ["strip", "--step", "nan"],
+        ["cone", "--step", "inf"],
         # finite, but the differences overflow and the residual is NaN
+        ["strip", "--step", "1e308"],
         ["umbrella", "--step", "1e308"],
     ],
 )
