@@ -1,8 +1,9 @@
 """Sphere-side integer oracles: linking, contact framing, tangent winding.
 
 Curves live on the unit sphere in (q1, p1, q2, p2)-space, read as (z1, z2) =
-(q1 + i p1, q2 + i p2) by :func:`_split` and :func:`_pack`, and are passed
-around as (N, 4) sample arrays, closed implicitly (sample N wraps to 0).
+(q1 + i p1, q2 + i p2) by :func:`_split`, or as views by :func:`_complex`,
+and back by :func:`_pack`, and are passed around as (N, 4) sample arrays,
+closed implicitly (sample N wraps to 0).
 Each public oracle checks its samples once, on entry, without a copy: N >= 1
 and every sample on the sphere, else InvalidSamples.  The kernels take that
 as given.
@@ -40,6 +41,11 @@ class DegenerateProjection(ValueError):
     """No tried projection separated the curves' crossings cleanly."""
 
 
+class DegeneratePushoff(DegenerateProjection):
+    """The Reeb push-off is no second curve: epsilon moves no sample, or the
+    curve is one Reeb orbit, along which the push-off slides."""
+
+
 class SelfIntersectingSamples(ValueError):
     """Input samples are not embedded at their own resolution."""
 
@@ -50,9 +56,12 @@ class TangentDegenerate(ValueError):
 
 _VIEW_SEEDS = (0.0, 0.37, 0.71, 1.13, 1.62, 2.31)
 
-# Elements per tile of the Gauss sum, and candidate pairs per chunk of a join.
-_TILE_ELEMENTS = 1 << 15
+# Elements per tile of the Gauss sum and rows of its left factor built at a
+# time; candidate pairs per chunk of a join, and blocks its probes search in.
+_TILE_ELEMENTS = 1 << 14
+_LEFT_ROWS = 1 << 8
 _CHUNK = 1 << 10
+_PROBE_BLOCKS = 16
 
 # numpy's default ufunc buffer, in elements.
 _BUFSIZE = 8192
@@ -99,6 +108,22 @@ def _split(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return points[..., 0] + 1j * points[..., 1], points[..., 2] + 1j * points[..., 3]
 
 
+_COMPLEX = {np.dtype(np.float64): np.complex128, np.dtype(np.float32): np.complex64}
+
+
+def _complex(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z1, z2) of (N, 4) points: zero-copy complex views where a view can be taken.
+
+    That is, of C-contiguous float64 and float32 rows; other dtypes and
+    layouts go through :func:`_split`.
+    """
+    kind = _COMPLEX.get(points.dtype)
+    if kind is None or not points.flags.c_contiguous:
+        return _split(points)
+    z = points.view(kind)
+    return z[:, 0], z[:, 1]
+
+
 def _pack(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """(q1, p1, q2, p2) points along a trailing axis of 4, from (z1, z2)."""
     return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
@@ -122,7 +147,7 @@ def _require_embedded(curve: np.ndarray) -> None:
     n = len(curve)
     if n < 8:
         raise SelfIntersectingSamples("too few samples to resolve a closed curve")
-    threshold = 0.5 * float(np.max(np.linalg.norm(_steps(curve), axis=1)))
+    threshold = _half_step(curve)
     if threshold == 0:
         raise SelfIntersectingSamples("every sample is the same point")
     for i, j in _near_pairs(curve, curve, threshold, self_join=True):
@@ -134,6 +159,37 @@ def _require_embedded(curve: np.ndarray) -> None:
             raise SelfIntersectingSamples(
                 "non-adjacent samples closer than half a sample step"
             )
+
+
+def _half_step(curve: np.ndarray) -> float:
+    """Half the longest step between consecutive samples: the sample resolution."""
+    return 0.5 * float(np.max(np.linalg.norm(_steps(curve), axis=1)))
+
+
+def _require_pushoff(curve: np.ndarray, epsilon: float) -> None:
+    """Reject an epsilon or a curve for which the Reeb push-off is no second curve.
+
+    The flow moves every sample by |e^{i epsilon} - 1| = 2 |sin(epsilon / 2)|,
+    which must be finite and at least 1e-9, the crossing test's height
+    tolerance.  A Reeb orbit is one point under the Hopf map
+    (z1, z2) -> (2 z1 conj(z2), |z1|^2 - |z2|^2), so a curve whose every
+    sample maps within half a sample step of the first sample's image is one
+    orbit at its own resolution, and its push-off slides along it.
+    """
+    if not (math.isfinite(epsilon) and 2 * abs(math.sin(epsilon / 2)) >= 1e-9):
+        raise DegeneratePushoff(
+            f"epsilon = {epsilon!r} gives no push-off: "
+            "|e^(i epsilon) - 1| must be finite and at least 1e-9"
+        )
+    z1, z2 = _complex(curve)
+    plane = 2 * z1 * np.conj(z2)
+    height = np.abs(z1) ** 2 - np.abs(z2) ** 2
+    spread = np.max(np.abs(plane - plane[0]) ** 2 + (height - height[0]) ** 2)
+    if float(spread) < _half_step(curve) ** 2:
+        raise DegeneratePushoff(
+            "the curve is one Reeb orbit: its push-off slides along it, "
+            "so there is no second curve to link with"
+        )
 
 
 def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = False):
@@ -148,8 +204,11 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = Fa
     ``self_join`` (``b`` is ``a``) a row probes its own cell from the next
     row on and the lexicographically positive rows of cells only, so each
     unordered pair comes once and no row meets itself.  Every entry must be
-    finite, and neither side empty.  Pairs come in chunks of at most
-    ``_CHUNK``, so memory stays bounded when many rows share a cell.
+    finite, and neither side empty.  Only the sorted keys, their order and
+    the probes' keys are held at full width: per row of cells the probes
+    search in ``_PROBE_BLOCKS`` blocks of at least ``_CHUNK``, and pairs
+    come in chunks of ``_CHUNK`` (:func:`_ranges`), so memory stays bounded
+    when many rows share a cell.
     """
     dim = a.shape[1]
     origin, top = _column_bounds(a)
@@ -173,18 +232,29 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float, self_join: bool = Fa
     order = np.argsort(key, kind="stable")
     key = key[order]
     probe = key if self_join else keys(a)
-    for row in itertools.product((-1, 0, 1), repeat=dim - 1):
-        if self_join and row < (0,) * (dim - 1):
-            continue
-        base = probe + int(np.dot(row, stride[:-1]))
-        if self_join and not any(row):
-            # the own cell from the next row on, then the cell after it
-            start = np.arange(1, len(key) + 1)
-        else:
-            start = np.searchsorted(key, base - 1)
-        stop = np.searchsorted(key, base + 1, side="right")
-        for owner, index in _ranges(start, stop - start):
-            yield (order[owner] if self_join else owner), order[index]
+
+    # no block under _CHUNK probes, so the calls per block stay a small part
+    # of the search
+    size = max(_CHUNK, -(-len(probe) // _PROBE_BLOCKS))
+
+    def blocks():
+        for row in itertools.product((-1, 0, 1), repeat=dim - 1):
+            if self_join and row < (0,) * (dim - 1):
+                continue
+            shift = int(np.dot(row, stride[:-1]))
+            for first in range(0, len(probe), size):
+                block = probe[first : first + size]
+                if self_join and not any(row):
+                    # the own cell from the next row on, then the cell after it
+                    start = np.arange(first + 1, first + len(block) + 1)
+                else:
+                    start = key.searchsorted(block + (shift - 1))
+                count = key.searchsorted(block + (shift + 1), side="right")
+                count -= start
+                yield first, start, count
+
+    for owner, index in _ranges(blocks()):
+        yield (order[owner] if self_join else owner), order[index]
 
 
 def _column_bounds(rows: np.ndarray):
@@ -193,18 +263,42 @@ def _column_bounds(rows: np.ndarray):
     return columns.min(1), columns.max(1)
 
 
-def _ranges(start: np.ndarray, count: np.ndarray):
+def _ranges(blocks):
     """Yield ``(owner, index)`` chunks of every ``start[k] + r``, ``r < count[k]``.
 
-    ``owner`` is the ``k`` each index came from; a chunk holds at most
-    ``_CHUNK`` indices, so memory stays bounded however many there are.
+    ``blocks`` yields ``(first, start, count)``, and ``owner`` is the
+    ``first + k`` each index came from.  A chunk holds ``_CHUNK`` indices,
+    the last one fewer; a chunk that a block leaves part full is filled from
+    the next, so few pairs per block make no more chunks than many.
     """
-    ends = np.cumsum(count)
-    total = int(ends[-1])
-    for lo_flat in range(0, total, _CHUNK):
-        flat = np.arange(lo_flat, min(lo_flat + _CHUNK, total))
-        owner = np.searchsorted(ends, flat, side="right")
-        yield owner, start[owner] + flat - (ends[owner] - count[owner])
+    owners, indices, held = [], [], 0
+    for first, start, count in blocks:
+        ends = count.cumsum()
+        # the index at flat position f of owner k is
+        # start[k] + f - (ends[k] - count[k]); fold that offset into start
+        start += count
+        start -= ends
+        done, total = 0, int(ends[-1])
+        while done < total:
+            flat = np.arange(done, min(total, done + _CHUNK - held))
+            k = ends.searchsorted(flat, side="right")
+            flat += start[k]
+            k += first
+            owners.append(k)
+            indices.append(flat)
+            done += len(flat)
+            held += len(flat)
+            if held == _CHUNK:
+                chunk = _joined(owners), _joined(indices)
+                owners, indices, held = [], [], 0
+                yield chunk
+    if held:
+        yield _joined(owners), _joined(indices)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end; a single part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _overlapping_boxes(lo_a, hi_a, lo_b, hi_b):
@@ -320,26 +414,30 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     A pair is parallel when its |denom| is under 1e-12 of ``scale``, the
     bound of :func:`_crossing_bound` on every pair's |denom|.
 
-    Each full-width array is built once, by :func:`_segments`: the segment
-    vectors ``da`` and ``db`` and the (x, y) box corners, padded in place,
-    7 floats per sample of each loop.  One chunk of at most ``_CHUNK``
-    candidate pairs comes on top.  A view of two 4096-sample loops peaks
-    near 0.8 MiB besides its inputs.
+    The box corners are the one full-width array built, 4 floats per sample
+    of each loop, padded in place; the segment vectors are taken per chunk
+    of candidate pairs, as ``loop[i + 1] - loop[i]``, the subtraction of
+    :func:`_steps`, which the crossing bound reads once before the boxes are
+    built.  A chunk of at most ``_CHUNK`` candidate pairs and the join's
+    keys come on top.  A view of two 4096-sample loops peaks near 0.5 MiB
+    besides its inputs.
     """
-    da, lo_a, hi_a = _segments(a3)
-    db, lo_b, hi_b = _segments(b3)
-    scale = _crossing_bound(da, db) + 1e-30
-
+    scale = _crossing_bound(_steps(a3), _steps(b3)) + 1e-30
+    lo_a, hi_a = _boxes(a3)
+    lo_b, hi_b = _boxes(b3)
     pad = 1e-6 * max(_widest(lo_a, hi_a), _widest(lo_b, hi_b))
     for lo, hi in ((lo_a, hi_a), (lo_b, hi_b)):
         lo -= pad
         hi += pad
     hits: list[tuple[np.ndarray, ...]] = []
     for ia, ib in _overlapping_boxes(lo_a, hi_a, lo_b, hi_b):
-        denom = da[ia, 0] * db[ib, 1] - da[ia, 1] * db[ib, 0]
-        offset = b3[ib, :2] - a3[ia, :2]
-        cross_a = offset[:, 0] * db[ib, 1] - offset[:, 1] * db[ib, 0]
-        cross_b = offset[:, 0] * da[ia, 1] - offset[:, 1] * da[ia, 0]
+        pa, pb = a3[ia], b3[ib]
+        da = a3[(ia + 1) % len(a3)] - pa
+        db = b3[(ib + 1) % len(b3)] - pb
+        denom = da[:, 0] * db[:, 1] - da[:, 1] * db[:, 0]
+        offset = pb[:, :2] - pa[:, :2]
+        cross_a = offset[:, 0] * db[:, 1] - offset[:, 1] * db[:, 0]
+        cross_b = offset[:, 0] * da[:, 1] - offset[:, 1] * da[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = cross_a / denom
             u = cross_b / denom
@@ -352,13 +450,13 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
         )
         if np.any(grazing):
             raise DegenerateProjection("crossing lands on a segment endpoint")
-        hits.append((ia[inside], ib[inside], t[inside], u[inside], denom[inside]))
+        za = pa[inside, 2] + t[inside] * da[inside, 2]
+        zb = pb[inside, 2] + u[inside] * db[inside, 2]
+        hits.append((za, zb, denom[inside]))
 
     if not hits:
         return 0
-    ia, ib, t, u, denom = (np.concatenate(parts) for parts in zip(*hits))
-    za = a3[ia, 2] + t * da[ia, 2]
-    zb = b3[ib, 2] + u * db[ib, 2]
+    za, zb, denom = (np.concatenate(parts) for parts in zip(*hits))
     gap = za - zb
     if np.any(np.abs(gap) < 1e-9 * (1.0 + np.abs(za) + np.abs(zb))):
         raise DegenerateProjection("strands tie in height at a crossing")
@@ -370,21 +468,19 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     return int(np.sum(signs))
 
 
-def _segments(loop: np.ndarray):
-    """Segment vectors and (x, y) box corners ``lo``, ``hi`` of a closed loop.
+def _boxes(loop: np.ndarray):
+    """(x, y) corners ``lo``, ``hi`` of the boxes of a closed loop's segments.
 
-    The segments are :func:`_steps`, and the corners are taken column by
-    column, so neither a rolled copy of the loop nor a buffered copy of its
-    strided (x, y) columns is made.
+    Taken column by column, so neither a rolled copy of the loop nor a
+    buffered copy of its strided (x, y) columns is made.
     """
-    d = _steps(loop)
     lo, hi = np.empty((2, len(loop), 2))
     for k in (0, 1):
         column = loop[:, k]
         for corner, extreme in ((lo, np.minimum), (hi, np.maximum)):
             extreme(column[:-1], column[1:], out=corner[:-1, k])
             extreme(column[-1:], column[:1], out=corner[-1:, k])
-    return d, lo, hi
+    return lo, hi
 
 
 def linking_number(first: np.ndarray, second: np.ndarray) -> int:
@@ -419,72 +515,101 @@ def gauss_linking(first: np.ndarray, second: np.ndarray) -> float:
 
         (da_i x db_j) . (ma_i - mb_j) = (ma_i x da_i) . db_j - da_i . (db_j x mb_j),
 
-    so each tile is one matrix product: some rows of an (N, 6) factor times
-    a (6, M) one.  Its terms are of size |m| |d|^2 where the triple is of size
-    |sep| |d|^2, so its rounding error, relative to the triple, grows as
-    |m| / |sep|.  The separations ``sep`` in the denominator are taken
-    componentwise, as exact differences.  The working set is two tiles of
-    about ``_TILE_ELEMENTS`` floats, allocated once per call: a tile's
-    ``|sep|^3`` is built in one, and its separations and then its triple
-    products in the other.  Besides the tiles, only the row midpoints ``ma``,
-    kept as a contiguous (3, N) transpose, and the three factors ``left``,
-    ``right`` and ``columns`` stay bound during the loop, which runs in
-    :func:`_tile_loop` with a one-row ufunc buffer.  Raises
-    SelfIntersectingSamples when two midpoints coincide or the sum is not
-    finite.
+    so each tile is one matrix product: some rows of an (N, 6) factor
+    ``left`` times a (6, M) one, ``right``.  Its terms are of size |m| |d|^2
+    where the triple is of size |sep| |d|^2, so its rounding error, relative
+    to the triple, grows as |m| / |sep|.  The separations ``sep`` in the
+    denominator are taken componentwise, as exact differences.  The working
+    set is two tiles of about ``_TILE_ELEMENTS`` floats, allocated once per
+    call: a tile's ``|sep|^3`` is built in one, and its separations and then
+    its triple products in the other.  The column factors ``right`` and
+    ``columns`` (the column midpoints, a contiguous (3, M) transpose) are
+    built first, and each projected curve is dropped once spent.  Besides
+    the tiles, only they, the row midpoints ``ma``, also a (3, N) transpose,
+    the row segments ``da`` and ``left`` for ``_LEFT_ROWS`` rows at a time
+    stay bound during the loop, which runs in :func:`_tile_loop` with a
+    one-row ufunc buffer.  Raises SelfIntersectingSamples when two midpoints
+    coincide or the sum is not finite.
     """
     _samples(first, second)
     a3, b3 = _project(first, second)
-    da = _steps(a3)
-    ma = a3 + 0.5 * da
-    left = np.concatenate([np.cross(ma, da), -da], axis=1)
-    # unit-stride rows for the outer differences below
-    ma = np.ascontiguousarray(ma.T)
-    del a3, da
     db = _steps(b3)
     mb = b3 + 0.5 * db
-    right = np.ascontiguousarray(np.concatenate([db, np.cross(db, mb)], axis=1).T)
+    del b3
+    right = np.empty((6, len(mb)))
+    right[:3] = db.T
+    _cross(db.T, mb.T, out=right[3:])
+    del db
     columns = np.ascontiguousarray(mb.T)
-    del b3, db, mb
-    # row tiles of about _TILE_ELEMENTS pairs each
-    count = len(first)
-    step = max(1, _TILE_ELEMENTS // len(second))
-    sep_tile, norm_tile = np.empty((2, min(step, count), len(second)))
+    del mb
+    da = _steps(a3)
+    # unit-stride rows for the outer differences below
+    ma = np.ascontiguousarray((a3 + 0.5 * da).T)
+    del a3
+    # row tiles of about _TILE_ELEMENTS pairs each, and left for a whole
+    # number of tiles at a time
+    count, width = len(da), len(columns[0])
+    step = max(1, _TILE_ELEMENTS // width)
+    block = step * max(1, _LEFT_ROWS // step)
+    sep_tile, norm_tile = np.empty((2, min(step, count), width))
+    left_block = np.empty((min(block, count), 6))
     total = 0.0
-    with _tile_loop(len(second)):
-        for start in range(0, count, step):
-            rows = slice(start, min(start + step, count))
-            sep, norm = sep_tile[: rows.stop - start], norm_tile[: rows.stop - start]
-            # |sep|^3 from sep = ma - mb, one component at a time
-            np.subtract.outer(ma[0, rows], columns[0], out=norm)
-            norm *= norm
-            for k in (1, 2):
-                np.subtract.outer(ma[k, rows], columns[k], out=sep)
-                sep *= sep
-                norm += sep
-            np.sqrt(norm, out=sep)
-            norm *= sep
-            # the triple products overwrite the spent root
-            triple = np.matmul(left[rows], right, out=sep)
-            triple /= norm
-            total += float(np.sum(triple))
+    with _tile_loop(width):
+        for top in range(0, count, block):
+            left = left_block[: min(block, count - top)]
+            rows = slice(top, top + len(left))
+            _cross(ma[:, rows], da[rows].T, out=left[:, :3].T)
+            np.negative(da[rows], out=left[:, 3:])
+            for start in range(top, rows.stop, step):
+                stop = min(start + step, count)
+                sep, norm = sep_tile[: stop - start], norm_tile[: stop - start]
+                # |sep|^3 from sep = ma - mb, one component at a time; outputs
+                # go by position, which numpy parses in half the time it takes
+                # for a keyword, a cost a tile pays a dozen times
+                np.subtract(ma[0, start:stop, None], columns[0], norm)
+                norm *= norm
+                for k in (1, 2):
+                    np.subtract(ma[k, start:stop, None], columns[k], sep)
+                    sep *= sep
+                    norm += sep
+                np.sqrt(norm, sep)
+                norm *= sep
+                # the triple products overwrite the spent root
+                triple = np.matmul(left[start - top : stop - top], right, sep)
+                triple /= norm
+                total += float(triple.sum())
     if not math.isfinite(total):
         raise SelfIntersectingSamples("Gauss sum not finite: the curves' midpoints meet")
     return total / (4 * math.pi)
 
 
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write a x b of (3, K) component rows into ``out``, as ``np.cross`` rounds it.
+
+    Each component is one product minus another, as in ``np.cross``, which
+    would also copy both operands.
+    """
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.multiply(a[i], b[j], out=out[k])
+        out[k] -= a[j] * b[i]
+
+
 def contact_framing(curve: np.ndarray, epsilon: float = 1e-2) -> int:
     """Link a closed Legendrian with its Reeb push-off (its framing number).
 
-    The push-off e^{i epsilon} never meets the curve, so any positive epsilon
-    works; halving it must not change the answer, which tests exploit.  The
-    flow is unitary, so the push-off of samples on the sphere is on it too.
+    The push-off e^{i epsilon} of a Legendrian never meets it, so any small
+    epsilon != 0 works; halving it must not change the answer, which tests
+    exploit.  The flow is unitary, so the push-off of samples on the sphere
+    is on it too.  An epsilon that moves no sample, or a curve that is one
+    Reeb orbit, raises DegeneratePushoff before anything is projected.
     This is :func:`linking_number` of the curve and its push-off, except that
     the push-off is dropped once it is projected, so the planar views run
     without it.
     """
     _samples(curve)
     _require_embedded(curve)
+    _require_pushoff(curve, epsilon)
     pushoff = reeb_pushoff(curve, epsilon)
     a3, b3 = _project(curve, pushoff)
     del pushoff
@@ -507,7 +632,7 @@ def tangent_winding(curve: np.ndarray) -> int:
     speed = np.linalg.norm(tangent, axis=1)
     if float(np.min(speed)) < 1e-12:
         raise TangentDegenerate("sampled tangent vanishes")
-    (z1, z2), (t1, t2) = _split(curve), _split(tangent)
+    (z1, z2), (t1, t2) = _complex(curve), _complex(tangent)
     frame = z1 * t2 - z2 * t1
     # not >, so that a frame that is zero everywhere (a Reeb orbit) is refused
     if not float(np.min(np.abs(frame))) > 1e-9 * float(np.max(np.abs(frame))):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -32,6 +33,7 @@ from lagsurf.linking import (
     SelfIntersectingSamples,
     _candidate_poles,
     _pack,
+    _require_pushoff,
     _view_rotation,
     reeb_pushoff,
     stereographic,
@@ -52,6 +54,16 @@ from lagsurf.moves import (
 )
 from lagsurf.surfaces import DiskBundle
 from lagsurf.table import SEED, Edge, Rule
+
+
+def peak_mib(call, *args) -> float:
+    """The peak of memory traced by ``tracemalloc`` while ``call(*args)`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _strand_stack_word(integer, choice, max_events: int, max_strands: int):
@@ -865,8 +877,13 @@ def reference_sphere_linking_number(first: np.ndarray, second: np.ndarray) -> in
 
 
 def reference_contact_framing(curve: np.ndarray, epsilon: float = 1e-2) -> int:
-    """The framing number through the dense embeddedness check and crossing scans."""
+    """The framing number through the dense embeddedness check and crossing scans.
+
+    The push-off check is the oracle's own: it is a precondition of the
+    framing, not one of the kernels these references stand beside.
+    """
     reference_require_embedded(curve)
+    _require_pushoff(curve, epsilon)
     return reference_sphere_linking_number(curve, reeb_pushoff(curve, epsilon))
 
 

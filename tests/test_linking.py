@@ -1,7 +1,6 @@
 """Integer oracles on sphere curves, anchored by the circle-fibre pair."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     legendrian_torus_knot,
+    peak_mib,
     reference_choose_pole,
     reference_contact_framing,
     reference_gauss_linking,
@@ -18,6 +18,7 @@ from helpers import (
     reference_sphere_linking_number,
     reference_tiled_gauss_linking,
 )
+from lagsurf import linking
 from lagsurf.fronts import FrontDiagram
 from lagsurf.immersions import (
     ImmersionFamily,
@@ -30,6 +31,7 @@ from lagsurf.immersions import (
 from lagsurf.linking import (
     _VIEW_SEEDS,
     DegenerateProjection,
+    DegeneratePushoff,
     InvalidSamples,
     SelfIntersectingSamples,
     TangentDegenerate,
@@ -137,6 +139,22 @@ def test_circle_action_fibres_have_no_tangent_winding(n):
     for z1, z2 in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)):
         with pytest.raises(TangentDegenerate):
             tangent_winding(pack(phase * z1, phase * z2))
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+def test_coordinate_fibres_have_no_pushoff(n):
+    # each is one Reeb orbit, so its push-off slides along it: (0, e^{is})
+    # gave framing 0 and (e^{is}, 0) a height tie before this was checked
+    phase = np.exp(1j * np.linspace(0.0, 2 * math.pi, n, endpoint=False))
+    for z1, z2 in ((1.0, 0.0), (0.0, 1.0)):
+        with pytest.raises(DegeneratePushoff, match="one Reeb orbit"):
+            contact_framing(pack(phase * z1, phase * z2))
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, 2 * math.pi])
+def test_epsilon_that_moves_no_sample_is_refused(epsilon):
+    with pytest.raises(DegeneratePushoff, match="epsilon"):
+        contact_framing(boundary_curve(S), epsilon)
 
 
 def test_winding_stable_under_refinement():
@@ -626,27 +644,23 @@ def test_crossing_bound_holds_on_single_perpendicular_pairs():
             assert _crossing_bound(da, db) >= dense_crossing_max(da, db)
 
 
-def peak_mib(call, *args):
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def test_oracles_run_in_bounded_memory():
     pairs = sample_pairs(4096)
-    # each full-width array of a planar view held once, the push-off dropped
-    # once projected, and joins in chunks of 2**10 pairs; peaks 1.17 and 1.08 MiB
-    assert peak_mib(contact_framing, pairs["boundary"][0]) < 1.3
-    assert peak_mib(linking_number, *pairs["hopf"]) < 1.2
-    # two reused tiles of 2**15 floats, 0.5 MiB, the (N, 6) factors, and the
-    # midpoints of the rows and columns, with a one-row ufunc buffer;
-    # peaks 1.07, 0.79 and 0.58 MiB
-    assert peak_mib(gauss_linking, *pairs["boundary"]) < 1.25
-    assert peak_mib(gauss_linking, *sample_pairs(2048)["boundary"]) < 0.9
-    assert peak_mib(gauss_linking, *sample_pairs(512)["boundary"]) < 0.7
+    # a planar view holds its box corners at full width, the join its sorted
+    # keys, their order and the probes' keys, and the rest per block of
+    # probes or chunk of 2**10 pairs; the push-off is dropped once projected;
+    # peaks 0.87 and 0.82 MiB
+    assert peak_mib(contact_framing, pairs["boundary"][0]) < 0.95
+    assert peak_mib(linking_number, *pairs["hopf"]) < 0.9
+    # two reused tiles of 2**14 floats, 0.25 MiB, the column factors, the row
+    # midpoints and segments, and the left factor 2**8 rows at a time, with a
+    # one-row ufunc buffer; peaks 0.74, 0.51 and 0.33 MiB
+    assert peak_mib(gauss_linking, *pairs["boundary"]) < 0.85
+    assert peak_mib(gauss_linking, *sample_pairs(2048)["boundary"]) < 0.6
+    assert peak_mib(gauss_linking, *sample_pairs(512)["boundary"]) < 0.4
+    # the real tangent and the frame scalar, with the curve and the tangent
+    # read as complex views; peaks 0.35 MiB
+    assert peak_mib(tangent_winding, pairs["boundary"][0]) < 0.4
     # six complex blocks of 2**13 points, 0.75 MiB, with omega and its terms in
     # the spent minus-point block, and a one-row ufunc buffer; peaks 0.81 MiB
     grid = (cone_family(), np.linspace(0.0, math.pi, 1024), np.linspace(0.1, 1.0, 1024))
@@ -655,12 +669,30 @@ def test_oracles_run_in_bounded_memory():
 
 def test_embeddedness_check_runs_in_bounded_memory():
     curve = boundary_curve(np.linspace(0.0, 2 * math.pi, 100_000, endpoint=False))
-    assert peak_mib(_require_embedded, curve) < 32
-    # the N = 10**5 target of the framing oracle; peaks 26.05 MiB
-    assert peak_mib(contact_framing, curve) < 29
+    # the segment lengths and the keys of the 4-D self-join; peaks 7.63 MiB
+    assert peak_mib(_require_embedded, curve) < 8.5
+    # the N = 10**5 target of the framing oracle; peaks 19.84 MiB
+    assert peak_mib(contact_framing, curve) < 22
 
 
 def test_overlapping_boxes_match_a_scan():
+    overlapping_boxes_match_a_scan()
+
+
+def test_near_pairs_match_a_scan():
+    near_pairs_match_a_scan()
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_join_scans_hold_across_chunks(monkeypatch, chunk):
+    # one pair per chunk, or chunks and probe blocks of three rows, so the
+    # 40-row scans run over many blocks, and chunks span blocks
+    monkeypatch.setattr("lagsurf.linking._CHUNK", chunk)
+    overlapping_boxes_match_a_scan()
+    near_pairs_match_a_scan()
+
+
+def overlapping_boxes_match_a_scan():
     rng = np.random.default_rng(3)
     for trial in range(60):
         dim = int(rng.integers(1, 5))
@@ -682,7 +714,7 @@ def test_overlapping_boxes_match_a_scan():
         assert found == scan
 
 
-def test_near_pairs_match_a_scan():
+def near_pairs_match_a_scan():
     rng = np.random.default_rng(5)
     for trial in range(200):
         dim, self_join, case = 1 + trial % 4, trial % 8 >= 4, trial // 8 % 4
@@ -699,11 +731,13 @@ def test_near_pairs_match_a_scan():
             reach = 0.0
         if self_join:
             b = a
-        found = [
-            (int(i), int(j))
-            for ia, ib in _near_pairs(a, b, reach, self_join)
-            for i, j in zip(ia, ib)
-        ]
+        chunks = list(_near_pairs(a, b, reach, self_join))
+        # full chunks, carried across probe blocks and rows of cells, then one
+        # part-full chunk at most
+        sizes = [len(ia) for ia, _ in chunks]
+        assert all(size == linking._CHUNK for size in sizes[:-1])
+        assert all(0 < size <= linking._CHUNK for size in sizes)
+        found = [(int(i), int(j)) for ia, ib in chunks for i, j in zip(ia, ib)]
         assert len(set(found)) == len(found)
         near = {
             (i, j)

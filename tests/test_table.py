@@ -1,9 +1,7 @@
-import tracemalloc
-
 import pytest
 
 import lagsurf.table
-from helpers import reference_derive_table
+from helpers import peak_mib, reference_derive_table
 from lagsurf.classify import rationally_convex_set
 from lagsurf.cli import run_surface_script, witness_script
 from lagsurf.surfaces import DiskBundle, euler_number
@@ -144,18 +142,9 @@ def test_closure_node_count_matches_the_nodes(min_chi):
     assert verify_closure(min_chi).node_count == len(derive_table(min_chi).nodes)
 
 
-def _peak_mib(run) -> float:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def test_verify_closure_runs_in_bounded_memory():
     # the rows alone: no bundles, edges or witnesses (about 0.47 MiB)
-    assert _peak_mib(lambda: verify_closure(-200)) < 0.6
+    assert peak_mib(verify_closure, -200) < 0.6
 
 
 def test_derived_rows_are_read_in_bounded_memory():
@@ -165,4 +154,4 @@ def test_derived_rows_are_read_in_bounded_memory():
             graph.row(chi)
 
     # each row is sorted as it is read (about 0.45 MiB)
-    assert _peak_mib(read_rows) < 0.55
+    assert peak_mib(read_rows) < 0.55
