@@ -15,7 +15,7 @@ import sys
 from lagsurf.cli import (
     _RULE_LINES,
     _TABLE_MIN_CHI,
-    _int_at_least,
+    _int_in,
     _script_line,
     main as cli_main,
 )
@@ -27,7 +27,7 @@ def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-chi", type=int, default=-5)
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--deep-check", type=_int_at_least(_TABLE_MIN_CHI), default=-12,
+    parser.add_argument("--deep-check", type=_int_in(_TABLE_MIN_CHI), default=-12,
                         help=f"extra closure verification depth, at least {_TABLE_MIN_CHI}")
     args = parser.parse_args(argv)
 

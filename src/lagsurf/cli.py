@@ -378,8 +378,11 @@ def _table_check(args) -> int:
 
 # -- verify ----------------------------------------------------------------
 
-# Points per axis of the strip, cone and umbrella grids without --grid.
+# Points per axis of the strip, cone and umbrella grids without --grid, and
+# the most that --grid takes: a sweep grows as grid^2, and one 4096^2 sweep
+# takes about half a second on a 2-core Xeon.
 _DEFAULT_GRID = 64
+_MAX_GRID = 4096
 
 # The options of ``verify`` with their defaults, and the ones each family
 # reads; giving an option that the family does not read is a usage error.
@@ -503,13 +506,15 @@ def _verify(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int no less than ``low``."""
+def _int_in(low: int, high: float = math.inf):
+    """An argparse type: an int no less than ``low`` and no more than ``high``."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = "int"
@@ -548,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = moves_sub.add_parser("equiv", help="search for a rewrite witness")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--depth", type=_int_at_least(0), default=3)
+    p.add_argument("--depth", type=_int_in(0), default=3)
     p.set_defaults(handler=_moves_equiv)
 
     surface = sub.add_parser("surface", help="run build scripts")
@@ -561,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_surface_euler)
 
     p = sub.add_parser("classify", help="membership in the realization sets")
-    p.add_argument("--chi", type=_int_at_least(_TABLE_MIN_CHI), required=True,
+    p.add_argument("--chi", type=_int_in(_TABLE_MIN_CHI), required=True,
                    help=f"Euler characteristic, at least {_TABLE_MIN_CHI}")
     p.add_argument("--euler", type=int, required=True)
     p.add_argument("--orientable", action="store_true")
@@ -569,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_classify)
 
     p = sub.add_parser("table", help="derive the realization grid")
-    p.add_argument("--min-chi", type=_int_at_least(_TABLE_MIN_CHI), default=-5,
+    p.add_argument("--min-chi", type=_int_in(_TABLE_MIN_CHI), default=-5,
                    help=f"lowest chi level, at least {_TABLE_MIN_CHI}; the closure "
                    "holds about 0.38*chi^2 nodes, 1,504,001 there (default -5)")
     p.add_argument("--format", choices=("text", "json"),
@@ -583,8 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numeric residual checks")
     p.add_argument("family", choices=("strip", "cone", "umbrella", "curve", "convergence"))
     p.add_argument("--a", type=float)
-    p.add_argument("--grid", type=_int_at_least(2),
-                   help=f"points per axis for strip, cone and umbrella (default {_DEFAULT_GRID})")
+    p.add_argument("--grid", type=_int_in(2, _MAX_GRID),
+                   help=f"points per axis for strip, cone and umbrella, 2 to {_MAX_GRID} "
+                   f"(default {_DEFAULT_GRID})")
     p.add_argument("--step", type=float)
     p.add_argument("--tolerance", type=float)
     p.add_argument("--csv")

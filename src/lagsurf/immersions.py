@@ -7,16 +7,19 @@ on the unit 3-sphere is its contraction lambda_p(v) = omega(p, v).
 
 Four explicit parametrized objects are verified here:
 
-* the one-parameter family of Lagrangian strips
-      strip_A(s, T) = A * (-(i/sqrt 2) sqrt(1+T^2) e^{2is}, T e^{-is}),
-  defined for 0 < A < sqrt 2, which closes up under (s, T) -> (s+pi, -T)
-  and meets the unit sphere exactly at |T| = half_width(A);
-* its blow-down limit, the cone
-      cone(s, T) = (-(i/sqrt 2) |T| e^{2is}, T e^{-is});
+* the strip and the cone, the cases kappa = 1 and a = 1, kappa = 0 of one
+  (2, 1) chart
+      z(s, T) = a * (-(i/sqrt 2) sqrt(kappa + T^2) e^{2is}, T e^{-is}).
+  Its coordinates have squared moduli f^2 = a^2 (kappa + T^2) / 2 and
+  g^2 = a^2 T^2, so it pulls omega back to (g g' - 2 f f') ds^dT, which is 0
+  since 2 f^2 - g^2 = a^2 kappa does not depend on T.  The strip of
+  parameter 0 < a < sqrt 2 closes up under (s, T) -> (s+pi, -T) and meets
+  the unit sphere exactly at |T| = half_width(a); the cone, its blow-down
+  limit, is (-(i/sqrt 2) |T| e^{2is}, T e^{-is});
 * the polynomial umbrella sheet
       umbrella(t, u) = (t^2 + i t u, u + (2/3) i t^3),
   whose radial Liouville identity is checked with exact derivatives;
-* the cone's boundary curve on the unit sphere,
+* the cone's boundary curve on the unit sphere, its slice at T = sqrt(2/3),
       boundary_curve(s) = (-(i/sqrt 3) e^{2is}, sqrt(2/3) e^{-is}).
 
 Residual checks use second-order central differences except where a
@@ -32,14 +35,14 @@ from typing import Callable
 
 import numpy as np
 
-from .linking import _pack, _split, _tile_loop
+from .linking import _complex, _pack, _tile_loop
 
 # Grid points per block of a residual sweep.
 _TILE_ELEMENTS = 1 << 13
 
 
 class AOutOfRange(ValueError):
-    """Strip parameter outside (0, sqrt 2)."""
+    """Strip parameter outside (0, sqrt 2), or too small for a finite half-width."""
 
 
 class GridOutsideDomain(ValueError):
@@ -112,34 +115,43 @@ def radial_contact(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def strip_half_width(a: float) -> float:
-    """|T| at which the strip meets the unit sphere; ``a`` must be in (0, sqrt 2)."""
+    """|T| at which the strip meets the unit sphere.
+
+    ``a`` must be in (0, sqrt 2) and large enough that the half-width is
+    finite: below about 7.5e-155, 1/a^2 overflows.
+    """
     if not 0 < a < math.sqrt(2):
         raise AOutOfRange(f"strip parameter must be in (0, sqrt 2), got {a}")
-    return math.sqrt((2.0 / 3.0) * (1.0 / a**2 - 0.5))
+    half = math.sqrt((2.0 / 3.0) * (1.0 / a**2 - 0.5)) if a**2 else math.inf
+    if half == math.inf:
+        raise AOutOfRange(f"strip parameter {a} is too small: its half-width is not finite")
+    return half
 
 
-def strip_family(a: float) -> ImmersionFamily:
-    strip_half_width(a)  # rejects an a outside (0, sqrt 2)
+def _torus_chart(a: float, kappa: float) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """The (2, 1) chart a (-(i/sqrt 2) sqrt(kappa + T^2) e^{2is}, T e^{-is}).
+
+    At a = 1, kappa = 0 it has the bits of the cone's |T| / sqrt 2 wherever
+    T^2 is a normal float; below |T| = 2^-511, z1 loses bits or is 0.
+    """
 
     def chart(s: np.ndarray, t: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         s, t = np.asarray(s, float), np.asarray(t, float)
         z1, z2 = _outputs(out, s, t)
-        np.multiply(a * (-1j / math.sqrt(2)) * np.sqrt(1 + t**2), np.exp(2j * s), out=z1)
+        np.multiply(a * (-1j / math.sqrt(2)) * np.sqrt(kappa + t**2), np.exp(2j * s), out=z1)
         np.multiply(a * t, np.exp(-1j * s), out=z2)
         return z1, z2
 
-    return ImmersionFamily("strip", chart)
+    return chart
+
+
+def strip_family(a: float) -> ImmersionFamily:
+    strip_half_width(a)  # rejects an a outside (0, sqrt 2) or too small
+    return ImmersionFamily("strip", _torus_chart(a, 1.0))
 
 
 def cone_family() -> ImmersionFamily:
-    def chart(s: np.ndarray, t: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
-        s, t = np.asarray(s, float), np.asarray(t, float)
-        z1, z2 = _outputs(out, s, t)
-        np.multiply((-1j / math.sqrt(2)) * np.abs(t), np.exp(2j * s), out=z1)
-        np.multiply(t, np.exp(-1j * s), out=z2)
-        return z1, z2
-
-    return ImmersionFamily("cone", chart, apex_excluded=True)
+    return ImmersionFamily("cone", _torus_chart(1.0, 0.0), apex_excluded=True)
 
 
 def umbrella_family() -> ImmersionFamily:
@@ -197,7 +209,10 @@ def pullback_residual(
 
     A vanishing pullback of the symplectic pairing is what makes the sheet
     Lagrangian; the residual is bounded by the scheme truncation ~ step^2.
-    Raises ResidualNotFinite, naming the step, when the sweep overflows.
+    Raises ResidualNotFinite, naming the step, when the sweep overflows, and
+    a ValueError, naming the step and the axis, when some grid value ``x``
+    has ``x + step == x - step``: its difference quotient would be 0, and
+    the check would pass with nothing checked.
 
     The grid is swept in blocks of rows, each a column of first values
     against the row of second ones, of about ``_TILE_ELEMENTS`` points.
@@ -215,6 +230,10 @@ def pullback_residual(
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     first, second = np.asarray(first, float), np.asarray(second, float)
+    for axis, values in (("first", first), ("second", second)):
+        still = values[values + step == values - step]
+        if still.size:
+            raise ValueError(f"step {step:g} does not move the {axis} grid value {still[0]}")
     if family.apex_excluded and np.min(np.abs(second)) <= 2 * step:
         raise GridOutsideDomain(
             f"{family.name} family needs the grid clear of its apex at T = 0"
@@ -373,9 +392,8 @@ def legendrian_residual(tolerance: float = 1e-6, perturbation: float = 0.0) -> V
         tangent = boundary_curve_tangent(s)
     else:
         def curve(values: np.ndarray) -> np.ndarray:
-            z1, z2 = _split(boundary_curve(values))
             phase = np.exp(1j * perturbation * np.sin(values))
-            return _pack(z1 * phase, z2 * phase)
+            return (_complex(boundary_curve(values)) * phase[:, None]).view(float)
 
         h = 1e-5
         points = curve(s)

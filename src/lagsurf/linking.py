@@ -1,9 +1,9 @@
 """Sphere-side integer oracles: linking, contact framing, tangent winding.
 
 Curves live on the unit sphere in (q1, p1, q2, p2)-space, read as (z1, z2) =
-(q1 + i p1, q2 + i p2) by :func:`_split`, or as views by :func:`_complex`,
-and back by :func:`_pack`, and are passed around as (N, 4) sample arrays,
-closed implicitly (sample N wraps to 0).
+(q1 + i p1, q2 + i p2) by :func:`_complex`, and back by :func:`_pack`, and
+are passed around as (N, 4) sample arrays, closed implicitly (sample N wraps
+to 0).
 Each public oracle checks its samples once, on entry, without a copy: N >= 1
 and every sample on the sphere, else InvalidSamples.  The kernels take that
 as given.
@@ -103,25 +103,15 @@ def _samples(*curves: np.ndarray) -> None:
             raise InvalidSamples("samples must lie on the unit sphere, |x|^2 within 1e-2 of 1")
 
 
-def _split(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z1, z2) of (q1, p1, q2, p2) points along a trailing axis of 4."""
-    return points[..., 0] + 1j * points[..., 1], points[..., 2] + 1j * points[..., 3]
+def _complex(points: np.ndarray) -> np.ndarray:
+    """The rows (q1 + i p1, q2 + i p2) of (N, 4) points, as an (N, 2) complex array.
 
-
-_COMPLEX = {np.dtype(np.float64): np.complex128, np.dtype(np.float32): np.complex64}
-
-
-def _complex(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z1, z2) of (N, 4) points: zero-copy complex views where a view can be taken.
-
-    That is, of C-contiguous float64 and float32 rows; other dtypes and
-    layouts go through :func:`_split`.
+    C-contiguous float32 and float64 points are viewed, with no copy.  Any
+    other points are converted once, to a contiguous array of float32 or
+    wider (float16 becomes float32, int64 float64), and that is viewed.
     """
-    kind = _COMPLEX.get(points.dtype)
-    if kind is None or not points.flags.c_contiguous:
-        return _split(points)
-    z = points.view(kind)
-    return z[:, 0], z[:, 1]
+    points = np.ascontiguousarray(points, np.result_type(points, np.float32))
+    return points.view(np.result_type(points, np.complex64))
 
 
 def _pack(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -181,7 +171,7 @@ def _require_pushoff(curve: np.ndarray, epsilon: float) -> None:
             f"epsilon = {epsilon!r} gives no push-off: "
             "|e^(i epsilon) - 1| must be finite and at least 1e-9"
         )
-    z1, z2 = _complex(curve)
+    z1, z2 = _complex(curve).T
     plane = 2 * z1 * np.conj(z2)
     height = np.abs(z1) ** 2 - np.abs(z2) ** 2
     spread = np.max(np.abs(plane - plane[0]) ** 2 + (height - height[0]) ** 2)
@@ -321,7 +311,7 @@ def _widest(lo: np.ndarray, hi: np.ndarray) -> float:
 
 
 def _crossing_bound(da: np.ndarray, db: np.ndarray) -> float:
-    """max |da_i| times max |db_j|, over the (x, y) parts of the rows.
+    """max |da_i| times max |db_j|, over the (x, y) parts of segments or their box sizes.
 
     By Cauchy-Schwarz no |da_i x db_j| exceeds it, and a relative hair of
     1e-12 keeps it above their rounded values too.  On the views of the
@@ -334,9 +324,8 @@ def _crossing_bound(da: np.ndarray, db: np.ndarray) -> float:
 
 def reeb_pushoff(curve: np.ndarray, epsilon: float) -> np.ndarray:
     """Flow every sample by e^{i epsilon} in both complex coordinates."""
-    z1, z2 = _split(curve)
-    phase = complex(math.cos(epsilon), math.sin(epsilon))
-    return _pack(phase * z1, phase * z2)
+    pushed = complex(math.cos(epsilon), math.sin(epsilon)) * _complex(curve)
+    return pushed.view(pushed.real.dtype)
 
 
 def _candidate_poles() -> np.ndarray:
@@ -415,16 +404,16 @@ def _planar_crossings(a3: np.ndarray, b3: np.ndarray) -> int:
     bound of :func:`_crossing_bound` on every pair's |denom|.
 
     The box corners are the one full-width array built, 4 floats per sample
-    of each loop, padded in place; the segment vectors are taken per chunk
-    of candidate pairs, as ``loop[i + 1] - loop[i]``, the subtraction of
-    :func:`_steps`, which the crossing bound reads once before the boxes are
-    built.  A chunk of at most ``_CHUNK`` candidate pairs and the join's
-    keys come on top.  A view of two 4096-sample loops peaks near 0.5 MiB
-    besides its inputs.
+    of each loop, padded in place.  The crossing bound reads the box sizes
+    ``hi - lo`` before the padding: they are the segments' |dx| and |dy|,
+    rounded as the signed differences are.  The segment vectors are taken
+    per chunk of candidate pairs, as ``loop[i + 1] - loop[i]``.  A chunk of
+    at most ``_CHUNK`` candidate pairs and the join's keys come on top.  A
+    view of two 4096-sample loops peaks near 0.5 MiB besides its inputs.
     """
-    scale = _crossing_bound(_steps(a3), _steps(b3)) + 1e-30
     lo_a, hi_a = _boxes(a3)
     lo_b, hi_b = _boxes(b3)
+    scale = _crossing_bound(hi_a - lo_a, hi_b - lo_b) + 1e-30
     pad = 1e-6 * max(_widest(lo_a, hi_a), _widest(lo_b, hi_b))
     for lo, hi in ((lo_a, hi_a), (lo_b, hi_b)):
         lo -= pad
@@ -632,7 +621,7 @@ def tangent_winding(curve: np.ndarray) -> int:
     speed = np.linalg.norm(tangent, axis=1)
     if float(np.min(speed)) < 1e-12:
         raise TangentDegenerate("sampled tangent vanishes")
-    (z1, z2), (t1, t2) = _complex(curve), _complex(tangent)
+    (z1, z2), (t1, t2) = _complex(curve).T, _complex(tangent).T
     frame = z1 * t2 - z2 * t1
     # not >, so that a frame that is zero everywhere (a Reeb orbit) is refused
     if not float(np.min(np.abs(frame))) > 1e-9 * float(np.max(np.abs(frame))):

@@ -777,6 +777,21 @@ def legendrian_torus_knot(p: int, q: int, s: np.ndarray) -> np.ndarray:
     return _pack(a * np.exp(1j * p * s), b * np.exp(-1j * q * s))
 
 
+# -- the copying sample reading of ``linking``, kept as a reference --------
+
+
+def reference_split(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z1, z2) of (q1, p1, q2, p2) points along a trailing axis of 4."""
+    return points[..., 0] + 1j * points[..., 1], points[..., 2] + 1j * points[..., 3]
+
+
+def reference_reeb_pushoff(curve: np.ndarray, epsilon: float) -> np.ndarray:
+    """Flow every sample by e^{i epsilon} in both complex coordinates."""
+    z1, z2 = reference_split(curve)
+    phase = complex(math.cos(epsilon), math.sin(epsilon))
+    return _pack(phase * z1, phase * z2)
+
+
 # -- dense all-pairs kernels of ``linking``, kept as references ------------
 
 
@@ -949,6 +964,23 @@ def reference_tiled_gauss_linking(first: np.ndarray, second: np.ndarray) -> floa
     if not math.isfinite(total):
         raise SelfIntersectingSamples("Gauss sum not finite: the curves' midpoints meet")
     return total / (4 * math.pi)
+
+
+# -- the separate strip and cone charts of ``immersions``, kept as references
+
+
+def reference_strip_chart(a: float):
+    def chart(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s, t = np.asarray(s, float), np.asarray(t, float)
+        z1 = a * (-1j / math.sqrt(2)) * np.sqrt(1 + t**2) * np.exp(2j * s)
+        return z1, a * t * np.exp(-1j * s)
+
+    return chart
+
+
+def reference_cone_chart(s: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s, t = np.asarray(s, float), np.asarray(t, float)
+    return (-1j / math.sqrt(2)) * np.abs(t) * np.exp(2j * s), t * np.exp(-1j * s)
 
 
 # -- the meshgrid residual sweep of ``immersions``, kept as a reference ----

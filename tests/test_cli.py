@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lagsurf.cli
 import lagsurf.linking
@@ -343,7 +343,11 @@ _ARGVS = st.one_of(
             {},
             optional={
                 "--a": _FLOATS.map(str),
-                "--grid": st.integers(-(2**63), 16).map(str),
+                # above the maximum, --grid is a usage error before any grid
+                # is built
+                "--grid": st.one_of(
+                    st.integers(-(2**63), 16), st.integers(lagsurf.cli._MAX_GRID + 1, 2**63)
+                ).map(str),
                 "--step": _FLOATS.map(str),
                 "--tolerance": _FLOATS.map(str),
             },
@@ -354,9 +358,15 @@ _ARGVS = st.one_of(
 
 @settings(max_examples=150)
 @given(argv=_ARGVS)
+@example(argv=["verify", "strip", "--a", "9.260300891286481e-192"])
+@example(argv=["verify", "cone", "--step", "1e-300"])
+@example(argv=["verify", "umbrella", "--grid", str(lagsurf.cli._MAX_GRID + 1)])
 def test_argv_keeps_the_cli_contract(argv):
-    # in-process and bounded: every chi the CLI takes is at least -2000
+    # in-process and bounded: every chi the CLI takes is at least -2000, and
+    # every grid it builds has at most 16 points per axis
     code, _, err = run_quietly(*argv)
+    if "--grid" in argv and int(argv[argv.index("--grid") + 1]) > lagsurf.cli._MAX_GRID:
+        assert code == 2
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
@@ -589,6 +599,13 @@ def test_verify_rejects_bad_parameter(capsys):
         # finite, but the differences overflow and the residual is NaN
         ["strip", "--step", "1e308"],
         ["umbrella", "--step", "1e308"],
+        # a step that leaves some grid value where it is checks nothing there
+        ["cone", "--step", "1e-300", "--grid", "4"],
+        ["strip", "--step", "1e-17", "--grid", "8"],
+        ["umbrella", "--step", "1e-20", "--grid", "9"],
+        # an a so small that the strip's half-width is not finite
+        ["strip", "--a", "1e-160"],
+        ["strip", "--a", "1e-300"],
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -672,10 +689,13 @@ def test_usage_errors_exit_two(capsys):
         main(["classify", "--chi", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
-    # one grid point proves nothing, the curve and the convergence check have
-    # no grid, and a search cannot go below depth 0
+    # one grid point proves nothing, a grid above the maximum takes too long,
+    # the curve and the convergence check have no grid, and a search cannot
+    # go below depth 0
     for argv in (
         ["verify", "strip", "--grid", "1"],
+        ["verify", "umbrella", "--grid", str(lagsurf.cli._MAX_GRID + 1)],
+        ["verify", "cone", "--grid", "10000000000000"],
         ["verify", "cone", "--grid", "0"],
         ["verify", "umbrella", "--grid", "-3"],
         ["verify", "curve", "--grid", "64"],

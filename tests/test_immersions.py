@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import reference_pullback_residual
+from helpers import reference_cone_chart, reference_pullback_residual, reference_strip_chart
 from lagsurf.immersions import (
     _TILE_ELEMENTS,
     AOutOfRange,
     GridOutsideDomain,
+    ImmersionFamily,
     ResidualNotFinite,
     VerificationReport,
+    _outputs,
     _pack,
     boundary_curve,
     boundary_curve_tangent,
@@ -133,7 +135,51 @@ def test_pullback_evaluates_one_axis_at_a_time(name):
     assert sizes and max(sizes) <= max(_TILE_ELEMENTS // 1024, 1024)
 
 
-@pytest.mark.parametrize("a", [2**0.5, 1.5, 0.0, -0.3])
+def test_a_step_that_moves_nothing_cannot_pass_a_non_lagrangian_chart():
+    # omega pulls back to 1 on z = (s + iT, 0): a residual of 0 would be vacuous
+    def chart(s, t, out=None):
+        z1, z2 = _outputs(out, s, t)
+        np.add(s, 1j * t, out=z1)
+        z2[...] = 0
+        return z1, z2
+
+    plane = ImmersionFamily("plane", chart)
+    assert pullback_residual(plane, HALF_TURN, HALF_TURN).max_residual == pytest.approx(1.0)
+    with pytest.raises(ValueError, match=r"^step 1e-300 does not move the first grid value"):
+        pullback_residual(plane, HALF_TURN, HALF_TURN, 1e-300)
+    # a grid whose first axis moves is checked along the second one
+    with pytest.raises(ValueError, match=r"^step 1e-300 does not move the second grid value"):
+        pullback_residual(plane, np.zeros(3), HALF_TURN, 1e-300)
+
+
+def verify_grids():
+    """The strip and cone grids of ``verify`` at a few sizes, with their charts."""
+    for grid in (2, 8, 64):
+        s = np.linspace(0.0, math.pi, grid)
+        for a in (0.5, 0.1, 1.0):
+            half = strip_half_width(a)
+            t = np.linspace(-half, half, grid)
+            yield pytest.param(strip_family(a), reference_strip_chart(a), s, t,
+                               id=f"strip{a:g}-{grid}")
+        t = np.linspace(0.1, 1.0, grid)
+        yield pytest.param(cone_family(), reference_cone_chart, s, t, id=f"cone-{grid}")
+
+
+@pytest.mark.parametrize("family, reference, s, t", verify_grids())
+def test_the_one_torus_chart_keeps_the_bits_of_both_charts(family, reference, s, t):
+    # the grid and its shifts by the default step, where the sweep evaluates
+    for ds, dt in ((0, 0), (1e-4, 0), (-1e-4, 0), (0, 1e-4), (0, -1e-4)):
+        args = (s[:, None] + ds, t[None, :] + dt)
+        assert family.evaluator(*args).tobytes() == _pack(*reference(*args)).tobytes()
+
+
+def test_boundary_curve_is_the_cone_slice():
+    s = np.linspace(0.0, 2 * math.pi, 1024, endpoint=False)
+    slice_ = cone_family().evaluator(s, np.full_like(s, math.sqrt(2.0 / 3.0)))
+    assert np.max(np.abs(slice_ - boundary_curve(s))) <= 1e-15
+
+
+@pytest.mark.parametrize("a", [2**0.5, 1.5, 0.0, -0.3, 1e-160, 1e-300, 5e-324])
 def test_strip_parameter_range(a):
     with pytest.raises(AOutOfRange):
         strip_family(a)

@@ -14,7 +14,9 @@ from helpers import (
     reference_contact_framing,
     reference_gauss_linking,
     reference_planar_crossings,
+    reference_reeb_pushoff,
     reference_require_embedded,
+    reference_split,
     reference_sphere_linking_number,
     reference_tiled_gauss_linking,
 )
@@ -36,6 +38,7 @@ from lagsurf.linking import (
     SelfIntersectingSamples,
     TangentDegenerate,
     _choose_pole,
+    _complex,
     _crossing_bound,
     _near_pairs,
     _overlapping_boxes,
@@ -155,6 +158,53 @@ def test_coordinate_fibres_have_no_pushoff(n):
 def test_epsilon_that_moves_no_sample_is_refused(epsilon):
     with pytest.raises(DegeneratePushoff, match="epsilon"):
         contact_framing(boundary_curve(S), epsilon)
+
+
+def reading_inputs():
+    """Sphere samples in every dtype and layout the oracles read."""
+    curves = {"boundary": boundary_curve(S), "flat": flat_circle()}
+    for p, q in ((3, 2), (5, 2), (4, 3)):
+        curves[f"T({p},{q})"] = legendrian_torus_knot(p, q, S)
+    inputs = {}
+    for name, curve in curves.items():
+        inputs[f"{name}_float64"] = curve
+        inputs[f"{name}_float32"] = curve.astype(np.float32)
+        inputs[f"{name}_float16"] = curve.astype(np.float16)
+        inputs[f"{name}_reversed"] = curve[::-1]
+        inputs[f"{name}_fortran"] = np.asfortranarray(curve)
+    inputs["axes_int64"] = np.tile(np.array([[1, 0, 0, 0], [0, 0, 0, -1]], np.int64), (N // 2, 1))
+    return inputs
+
+
+READING_INPUTS = reading_inputs()
+
+
+def assert_same_bits_up_to_zero_signs(got, expected):
+    """Same dtype, shape and bits, except that -0.0 and 0.0 count as one.
+
+    The copying split adds p1 * 0 - 0 * 1 to q1, which turns a -0.0 into
+    0.0 (the float16 flat circle has one), where a view keeps it.
+    """
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert (got + 0.0).tobytes() == (expected + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(READING_INPUTS))
+def test_complex_reads_samples_as_the_copying_split(name):
+    points = READING_INPUTS[name]
+    z = _complex(points)
+    assert_same_bits_up_to_zero_signs(z, np.stack(reference_split(points), axis=-1))
+    if points.dtype in (np.float32, np.float64) and points.flags.c_contiguous:
+        assert np.shares_memory(z, points)
+
+
+@pytest.mark.parametrize("name", sorted(READING_INPUTS))
+def test_pushoff_keeps_the_bits_of_the_copying_split(name):
+    points = READING_INPUTS[name]
+    for epsilon in (1e-2, 0.3, -2.0):
+        assert_same_bits_up_to_zero_signs(
+            reeb_pushoff(points, epsilon), reference_reeb_pushoff(points, epsilon)
+        )
 
 
 def test_winding_stable_under_refinement():
