@@ -25,10 +25,10 @@ from lagsurf.table import derive_table, verify_closure
 
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--min-chi", type=int, default=-5)
+    parser.add_argument("--min-chi", type=_int_in(_TABLE_MIN_CHI, 0), default=-5)
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--deep-check", type=_int_in(_TABLE_MIN_CHI), default=-12,
-                        help=f"extra closure verification depth, at least {_TABLE_MIN_CHI}")
+    parser.add_argument("--deep-check", type=_int_in(_TABLE_MIN_CHI, 0), default=-12,
+                        help=f"extra closure verification depth, {_TABLE_MIN_CHI} to 0")
     args = parser.parse_args(argv)
 
     code = cli_main(["table", "--min-chi", str(args.min_chi), "--format", args.format])

@@ -574,9 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_classify)
 
     p = sub.add_parser("table", help="derive the realization grid")
-    p.add_argument("--min-chi", type=_int_in(_TABLE_MIN_CHI), default=-5,
-                   help=f"lowest chi level, at least {_TABLE_MIN_CHI}; the closure "
-                   "holds about 0.38*chi^2 nodes, 1,504,001 there (default -5)")
+    p.add_argument("--min-chi", type=_int_in(_TABLE_MIN_CHI, 0), default=-5,
+                   help=f"lowest chi level, {_TABLE_MIN_CHI} to 0; the closure "
+                   f"holds about 0.38*chi^2 nodes, 1,504,001 at {_TABLE_MIN_CHI} (default -5)")
     p.add_argument("--format", choices=("text", "json"),
                    help=f"json needs --min-chi at least {_TABLE_JSON_MIN_CHI}: its witness "
                    "scripts grow as chi^3, 300 MB there (default text)")

@@ -102,29 +102,26 @@ class FrontError(ValueError):
     """Base class for malformed slice words and misused front operations."""
 
 
-class PositionOutOfRange(FrontError):
+class _EventError(FrontError):
+    """Event ``index`` does not fit the ``strands`` active before it, for ``reason``."""
+
+    def __init__(self, index: int, event: FrontEvent, strands: int):
+        self.index = index
+        self.event = event
+        self.strands = strands
+        super().__init__(f"event {index} ({event}) {self.reason.format(strands)}")
+
+
+class PositionOutOfRange(_EventError):
     """An event addresses a strand position that does not exist."""
 
-    def __init__(self, index: int, event: FrontEvent, strands: int):
-        self.index = index
-        self.event = event
-        self.strands = strands
-        super().__init__(
-            f"event {index} ({event}) is out of range with {strands} strands active"
-        )
+    reason = "is out of range with {} strands active"
 
 
-class NegativeStrandCount(FrontError):
+class NegativeStrandCount(_EventError):
     """A right cusp would drop the strand count below zero."""
 
-    def __init__(self, index: int, event: FrontEvent, strands: int):
-        self.index = index
-        self.event = event
-        self.strands = strands
-        super().__init__(
-            f"event {index} ({event}) would close more strands than the "
-            f"{strands} active"
-        )
+    reason = "would close more strands than the {} active"
 
 
 class NonClosedFront(FrontError):

@@ -273,9 +273,11 @@ def strip_identities(a: float) -> VerificationReport:
     Checks strip_A(s + pi, -T) = strip_A(s, T) over a grid, |strip_A| = 1 at
     |T| = half_width(A), and that the radial derivative d|strip|^2/dT stays
     away from zero at the boundary (so the strip meets the sphere
-    transversally).  The transversality margin enters the residual as a
-    shortfall below 1e-3, which is 0 for every parameter away from sqrt 2.
-    The report passes iff the residual is at most 1e-12.
+    transversally).  Since |strip|^2 = A^2 (1 + 3 T^2) / 2, that rate is
+    3 A^2 half_width(A): the difference step is 1e-6 half-widths, and the
+    rate over A^2 half_width(A) enters the residual as a shortfall below
+    1e-3, which is 0 for every parameter.  The report passes iff the
+    residual is at most 1e-12.
     """
     family = strip_family(a)
     half = strip_half_width(a)
@@ -293,10 +295,10 @@ def strip_identities(a: float) -> VerificationReport:
     )
     boundary = np.max(np.abs(np.linalg.norm(edge, axis=-1) - 1.0))
 
-    h = 1e-6
+    h = 1e-6 * half
     plus = np.linalg.norm(family.evaluator(s, np.full_like(s, half + h)), axis=-1)
     minus = np.linalg.norm(family.evaluator(s, np.full_like(s, half - h)), axis=-1)
-    radial_rate = np.min(np.abs(plus**2 - minus**2)) / (2 * h)
+    radial_rate = np.min(np.abs(plus**2 - minus**2)) / (2 * h * a * (a * half))
     shortfall = max(0.0, 1e-3 - radial_rate)
 
     residual = max(deck, boundary, shortfall)

@@ -73,7 +73,9 @@ class is ever listed:
 * **Keys.**  The least word of a class takes, place by place, the least
   front code of any event that can come next (Anisimov--Knuth).  Ties are
   followed level by level, one state per set of events placed.  The key is
-  the search's memoization key and :func:`canonical_word`.
+  the search's memoization key and :func:`canonical_word`.  As a front
+  code does not depend on the order of the events before it, the key of an
+  ideal ``I`` is the least ``key(I - e) + (front code of e,)``.
 * **Incremental heads.**  Events are placed as in Kahn's topological sort:
   each event waits on the nearest event before it that it does not commute
   with, and slides on only once that one is placed.  A slide moves a code
@@ -81,13 +83,14 @@ class is ever listed:
   so the codes that placing an event changes are shifted, not re-slid.
 * **Expansion.**  A search node applies its pattern moves only to the
   words ``key(I) + window + key(rest)`` of each ideal ``I``, which hold the
-  least producer of every child class.  The rest keys come from one pass
-  over the ideals, largest first.
+  least producer of every child class.  The walk that lists the ideals
+  keys them, and one pass back over them, largest first, keys their rests.
 * **Paths.**  The keys match the events of two words of one class; the
   slide path sorts one word into the other, always at the least index out
   of order, which is the path a breadth-first search finds first.  Cusp
   alignment picks, over the ideals after which the merge and then the birth
-  can come next, the aligned word with the shortest such path.
+  can come next, the aligned word with the shortest such path, sorted by
+  group: the ideal, the merge, the birth, the rest, each in word order.
 """
 
 from __future__ import annotations
@@ -538,13 +541,12 @@ def canonical_word(events: Word) -> Word:
     return _decode(_trace(_encode(events))[0])
 
 
-def _ideals(codes: Coded) -> dict[int, tuple[Coded, list[tuple[int, int]]]]:
+def _ideals(codes: Coded) -> dict[int, tuple[Coded, dict[int, int]]]:
     """Every set of events that slides can bring to the front together.
 
     Keyed by the bit mask of the events' indices in ``codes``, smallest
-    sets first.  Each ideal has a word of its events as slides leave them
-    at the front and its heads: ``(event, front code)`` for each event that
-    can come next.
+    sets first.  Each ideal has its least word and its heads: ``{event:
+    front code}`` for each event that can come next, in the placer's order.
     """
     placer = _Placer(len(codes))
     ideals = {}
@@ -552,20 +554,22 @@ def _ideals(codes: Coded) -> dict[int, tuple[Coded, list[tuple[int, int]]]]:
     while level:
         nxt: dict[int, tuple[Coded, _State]] = {}
         for mask, (prefix, state) in level.items():
-            heads = sorted((event, _shared(code)) for code, event in state[4])
-            for event, code in heads:
-                child = mask | 1 << event
+            heads = {event: _shared(code) for code, event in state[4]}
+            for event, code in heads.items():
+                child, word = mask | 1 << event, prefix + (code,)
                 if child not in nxt:
-                    nxt[child] = (prefix + (code,), placer.place(state, event))
+                    nxt[child] = (word, placer.place(state, event))
+                elif word < nxt[child][0]:
+                    nxt[child] = (word, nxt[child][1])
             ideals[mask] = (prefix, heads)
         level = nxt
     return ideals
 
 
-def _sort_slides(codes: Coded, places: list[int]) -> tuple[list[int], Coded]:
+def _sort_slides(codes: Coded, places: list) -> tuple[list[int], Coded]:
     """Slide the events of ``codes`` into the order ``places`` gives them.
 
-    ``places[k]`` is where the event at index ``k`` should end up.  Each
+    ``places[k]`` is the sort key of the event at index ``k``.  Each
     slide is at the least index whose pair is out of order, so the indices
     form the lex-least of the shortest slide sequences.  Returns them and
     the word reached; raises :class:`FrontError` when two events that must
@@ -620,21 +624,17 @@ def align_facing_cusps(
     """
     codes = _encode(events)
     ideals = _ideals(codes)
+    groups = {right_index: 1, left_index: 2}
     candidates = []
     for mask, (prefix, heads) in ideals.items():
-        code = dict(heads).get(right_index)
+        code = heads.get(right_index)
         if code is None:
             continue
-        after_code = dict(ideals[mask | 1 << right_index][1]).get(left_index)
+        after_code = ideals[mask | 1 << right_index][1].get(left_index)
         if after_code is None or (after_code ^ code) & _POS_MASK:
             continue
-        inside = [e for e in range(len(codes)) if mask >> e & 1]
-        outside = [
-            e for e in range(len(codes))
-            if not mask >> e & 1 and e not in (right_index, left_index)
-        ]
-        order = inside + [right_index, left_index] + outside
-        path, word = _sort_slides(codes, [order.index(e) for e in range(len(codes))])
+        places = [(0 if mask >> e & 1 else groups.get(e, 3), e) for e in range(len(codes))]
+        path, word = _sort_slides(codes, places)
         candidates.append((len(path), path, word, len(prefix)))
     if not candidates:
         return None
@@ -666,26 +666,25 @@ def _expansion(codes: Coded) -> list[tuple[Coded, MoveInstance]]:
     rest_keys: dict[int, Coded] = {}
     for mask in reversed(ideals):
         rest_keys[mask] = min(
-            ((code,) + rest_keys[mask | 1 << event] for event, code in ideals[mask][1]),
+            ((code,) + rest_keys[mask | 1 << event] for event, code in ideals[mask][1].items()),
             default=(),
         )
     pairs = []
-    for mask, (prefix, heads) in ideals.items():
-        head_key = _trace(prefix)[0]
+    for mask, (head_key, heads) in ideals.items():
         windows = {head_key + rest_keys[mask]}
-        for first, first_code in heads:
+        for first, first_code in heads.items():
             one = mask | 1 << first
             windows.add(head_key + (first_code,) + rest_keys[one])
-            for middle, middle_code in ideals[one][1]:
+            for middle, middle_code in ideals[one][1].items():
                 if KINDS[middle_code >> 32] is not X:
                     continue
                 two = one | 1 << middle
-                for last, last_code in ideals[two][1]:
+                for last, last_code in ideals[two][1].items():
                     window = (first_code, middle_code, last_code)
                     windows.add(head_key + window + rest_keys[two | 1 << last])
-        strands = sum(STRAND_CHANGE[KINDS[code >> 32]] for code in prefix)
+        strands = sum(STRAND_CHANGE[KINDS[code >> 32]] for code in head_key)
         for concrete in windows:
-            pairs += [(concrete, m) for m in _moves_at(_decode(concrete), len(prefix), strands)]
+            pairs += [(concrete, m) for m in _moves_at(_decode(concrete), len(head_key), strands)]
     return sorted(pairs)
 
 

@@ -576,9 +576,11 @@ def test_verify_curve_fails_on_a_wrong_winding(capsys, monkeypatch):
     assert payload["reports"][0]["passed"] is True
 
 def test_verify_strip_and_convergence(capsys):
-    code, out, _ = run(capsys, "verify", "strip", "--a", "0.5", "--grid", "32")
-    assert code == 0
-    assert json.loads(out)["passed"] is True
+    # the transversality margin scales with the strip, so a small a passes
+    for a, grid in [("0.5", "32"), ("1e-9", "8"), ("1e-11", "8")]:
+        code, out, _ = run(capsys, "verify", "strip", "--a", a, "--grid", grid)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
     code, out, _ = run(capsys, "verify", "convergence")
     assert code == 0
@@ -701,6 +703,9 @@ def test_usage_errors_exit_two(capsys):
         ["verify", "curve", "--grid", "64"],
         ["verify", "convergence", "--grid", "8"],
         ["moves", "equiv", corpus_file("unknot"), corpus_file("unknot"), "--depth", "-1"],
+        # no surface has chi above 2, and the grid starts at chi 0
+        ["table", "--min-chi", "1"],
+        ["table", "--check", "--min-chi", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

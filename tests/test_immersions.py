@@ -191,7 +191,7 @@ def test_strip_half_width_value():
     assert strip_half_width(1.0) == pytest.approx(math.sqrt(1.0 / 3.0))
 
 
-@pytest.mark.parametrize("a", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 1e-4, 1e-5, 1e-9, 1e-11])
 def test_strip_identities_hold_to_roundoff(a):
     report = strip_identities(a)
     assert report.passed

@@ -22,6 +22,7 @@ from lagsurf.moves import (
     _decode,
     _encode,
     _expansion,
+    _ideals,
     _invariant_key,
     _slide_path,
     _trace,
@@ -423,6 +424,28 @@ def test_ideal_expansion_matches_full_expansion(events):
         child = apply_move_word(_decode(concrete), move)
         found.setdefault(canonical_word(child), (_decode(concrete), move))
     assert found == expected
+
+
+def test_ideal_words_are_trace_keys():
+    # {L1, L3} is reached first as L1 L3, but L3 slides before L1 as L1 L1
+    assert _ideals(_encode(word("L1 L3 R2 R1")))[0b11][0] == _encode(word("L1 L1"))
+    rng = random.Random(36)
+    words = [helpers.random_diagram(rng).events for _ in range(200)]
+    words += [parse_front(path.read_text()).events for path in CORPUS.glob("*.front")]
+    for events in words:
+        for prefix, _ in _ideals(_encode(events)).values():
+            assert prefix == _trace(prefix)[0]
+
+
+def test_expansion_needs_no_trace(monkeypatch):
+    words = seeded_words() + TRIPLE_POINT_WORDS
+    expected = [_expansion(_encode(events)) for events in words]
+
+    def no_trace(codes):
+        raise AssertionError("_expansion keyed a word")
+
+    monkeypatch.setattr(lagsurf.moves, "_trace", no_trace)
+    assert [_expansion(_encode(events)) for events in words] == expected
 
 
 @pytest.mark.parametrize("events", seeded_words())

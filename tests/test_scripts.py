@@ -64,16 +64,22 @@ def test_regenerate_table_takes_one_surface_step_per_node(capsys, monkeypatch):
 
 
 def test_regenerate_table_deep_check_below_the_floor_is_a_usage_error(capsys):
-    # the closure holds about 0.38 chi^2 nodes; at -10^8 the check never ends
-    for value in ("-2001", "-100000000"):
+    # the closure holds about 0.38 chi^2 nodes; at -10^8 the check never ends;
+    # and the grid starts at chi 0
+    for option, value, bound in [
+        ("--deep-check", "-2001", "at least -2000"),
+        ("--deep-check", "-100000000", "at least -2000"),
+        ("--deep-check", "1", "at most 0"),
+        ("--min-chi", "1", "at most 0"),
+    ]:
         with pytest.raises(SystemExit) as exc:
-            load_script("regenerate_table").run(["--deep-check", value])
+            load_script("regenerate_table").run([option, value])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines()[-1].endswith(
-            f"error: argument --deep-check: must be at least -2000, got {value}"
-        )
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.endswith(f"error: argument {option}: must be {bound}, got {value}")
 
 
 def test_no_behaviour_rests_on_assert():
